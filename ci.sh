@@ -126,34 +126,39 @@ grep -q "spmv_csr" "$smoke_dir/profile.log"
 grep -q "Parallel regions (2 threads)" "$smoke_dir/show-prof.log"
 ! grep -q "Parallel regions" "$smoke_dir/show.log"
 
-# Micro-kernel identity leg: the Newton solve must produce bit-identical
-# residual histories under all three FUN3D_BLOCK_KERNEL tiers (the JSON
-# float encoding is shortest-round-trip, so string equality is bit
-# equality), and the blockspec experiment must print a >1.0x batched
-# speedup verdict — the tiers are only worth shipping if they pay.
-for k in generic fixed batched; do
-    FUN3D_BLOCK_KERNEL=$k ./target/release/table1 --scale 0.05 --steps 2 \
-        --threads 2 --quiet --json "$smoke_dir/kern-$k.json" \
-        --events "$smoke_dir/kern-$k.events.jsonl" > /dev/null
-    grep -o '"residual_norm":[^,}]*' "$smoke_dir/kern-$k.events.jsonl" \
-        > "$smoke_dir/resid-$k.txt"
+# Kernel identity leg: the Newton solve must be deterministic on the
+# sequential sweeps (--threads 1) and on the level-scheduled sweeps
+# (--threads 2) — two runs of each must give bit-identical residual
+# histories (the JSON float encoding is shortest-round-trip, so string
+# equality is bit equality).  The two thread counts are not compared with
+# each other: the threaded dot products sum per-thread partials, so they
+# match the sequential ones to rounding only.  The unrolled kernels'
+# bitwise identity with the generic reference, sequential vs threaded, is
+# asserted in-run by the blockspec experiment, which must also print a
+# >1.0x speedup verdict — the unrolled kernels are only worth shipping if
+# they pay.
+for t in 1 2; do
+    for run in a b; do
+        ./target/release/table1 --scale 0.05 --steps 2 --threads $t --quiet \
+            --json "$smoke_dir/kern-t$t$run.json" \
+            --events "$smoke_dir/kern-t$t$run.events.jsonl" > /dev/null
+        grep -o '"residual_norm":[^,}]*' "$smoke_dir/kern-t$t$run.events.jsonl" \
+            > "$smoke_dir/resid-t$t$run.txt"
+    done
+    [ -s "$smoke_dir/resid-t${t}a.txt" ] \
+        || { echo "ci: kernel-identity leg recorded no residual norms"; exit 1; }
+    cmp -s "$smoke_dir/resid-t${t}a.txt" "$smoke_dir/resid-t${t}b.txt" \
+        || { echo "ci: --threads $t residual histories are not deterministic"; exit 1; }
 done
-[ -s "$smoke_dir/resid-generic.txt" ] \
-    || { echo "ci: kernel-identity leg recorded no residual norms"; exit 1; }
-cmp -s "$smoke_dir/resid-generic.txt" "$smoke_dir/resid-fixed.txt" \
-    || { echo "ci: fixed kernel residuals diverged from generic"; exit 1; }
-cmp -s "$smoke_dir/resid-generic.txt" "$smoke_dir/resid-batched.txt" \
-    || { echo "ci: batched kernel residuals diverged from generic"; exit 1; }
 ./target/release/blockspec --scale 0.15 --threads 2 \
     --json "$smoke_dir/blockspec.json" > "$smoke_dir/blockspec.log"
-grep -q "blockspec verdict: batched pays off" "$smoke_dir/blockspec.log" \
-    || { echo "ci: batched kernels show no speedup over generic"; exit 1; }
+grep -q "blockspec verdict: fixed pays off" "$smoke_dir/blockspec.log" \
+    || { echo "ci: unrolled kernels show no speedup over generic"; exit 1; }
 grep -q '"spmv_bcsr:gbps"' "$smoke_dir/blockspec.json"
 grep -q '"bilu_sweep:gbps"' "$smoke_dir/blockspec.json"
 ./target/release/fun3d-report profile "$smoke_dir/blockspec.json" \
     > "$smoke_dir/blockspec-profile.log"
-grep -q "Repeated block structure" "$smoke_dir/blockspec-profile.log"
-grep -q "template hit rate" "$smoke_dir/blockspec-profile.log"
+grep -q "Achieved bandwidth (Table 2)" "$smoke_dir/blockspec-profile.log"
 
 # Profiling overhead on the standalone spmv bin must stay under 5% (median
 # CSR time, profiling off vs on).  One retry damps scheduler noise.

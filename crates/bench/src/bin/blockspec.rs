@@ -1,5 +1,5 @@
-//! Thin CLI wrapper: BCSR micro-kernel tiers (generic/fixed/batched) per
-//! block size, with repeated-block-structure telemetry.
+//! Thin CLI wrapper: BCSR kernels (generic reference vs unrolled fixed)
+//! per block size.
 //! The core loop lives in `fun3d_bench::runners::blockspec`.
 //!
 //! Usage: `cargo run --release -p fun3d-bench --bin blockspec [--scale f]

@@ -1,13 +1,12 @@
-//! Micro-benchmark of the BCSR micro-kernel tiers: scalar (`generic`)
-//! vs const-unrolled (`fixed`) vs repeated-structure-batched (`batched`)
+//! Micro-benchmark of the BCSR kernels: the runtime-`b` reference loops
+//! (`generic`) vs the const-unrolled kernels the solvers run (`fixed`),
 //! SpMV and block-ILU sweeps, per block size (4: incompressible, 5:
 //! compressible).
 //!
-//! Every tier is verified bitwise-identical in-run before anything is
-//! timed, the repeated-structure telemetry (template hit rate, batch
-//! lengths) is recorded as counters, and the achieved-bandwidth spans feed
-//! the `spmv_bcsr:gbps` / `bilu_sweep:gbps` gate metrics the CI perf
-//! pipeline regresses against.
+//! The unrolled kernels are verified bitwise-identical to the sequential
+//! reference in-run before anything is timed, and the achieved-bandwidth
+//! spans feed the `spmv_bcsr:gbps` / `bilu_sweep:gbps` gate metrics the
+//! CI perf pipeline regresses against.
 
 use crate::{
     representative_jacobian, say, time_median, BenchArgs, Experiment, ModelEstimate, RunOutcome,
@@ -18,26 +17,24 @@ use fun3d_memmodel::spmv_model::{bcsr_traffic, predicted_time};
 use fun3d_mesh::generator::MeshFamily;
 use fun3d_sparse::bcsr::BcsrMatrix;
 use fun3d_sparse::block_ilu::BlockIluFactors;
-use fun3d_sparse::blockspec::BlockKernel;
 use fun3d_sparse::layout::FieldLayout;
+use fun3d_sparse::par::ParCtx;
 use fun3d_telemetry::report::PerfReport;
 use fun3d_telemetry::Registry;
 
 /// `blockspec` as a harness experiment.
 pub struct Blockspec;
 
-const TIERS: [BlockKernel; 3] = [
-    BlockKernel::Generic,
-    BlockKernel::Fixed,
-    BlockKernel::Batched,
-];
+/// The timed kernels: the reference loops first (the speedup baseline),
+/// then the unrolled kernels the solvers dispatch to.
+const KERNELS: [&str; 2] = ["generic", "fixed"];
 
 impl Experiment for Blockspec {
     fn name(&self) -> &'static str {
         "blockspec"
     }
     fn description(&self) -> &'static str {
-        "BCSR micro-kernel tiers (generic/fixed/batched) per block size, with structure telemetry"
+        "BCSR kernels (generic reference vs unrolled fixed) per block size"
     }
     fn default_scale(&self) -> f64 {
         0.25
@@ -46,8 +43,8 @@ impl Experiment for Blockspec {
         run(args)
     }
     fn model(&self, report: &PerfReport, machine: &MachineSpec) -> Vec<ModelEstimate> {
-        // Bandwidth-bound floor per block size: every tier shares the same
-        // traffic model, so one prediction prices them all.
+        // Bandwidth-bound floor per block size: both kernels share the
+        // same traffic model, so one prediction prices them.
         let mut out = Vec::new();
         for bs in [4usize, 5] {
             let (Some(nbrows), Some(nblocks)) = (
@@ -57,7 +54,7 @@ impl Experiment for Blockspec {
                 continue;
             };
             out.push(ModelEstimate {
-                metric: format!("spmv_b{bs}:batched_s"),
+                metric: format!("spmv_b{bs}:fixed_s"),
                 predicted: predicted_time(
                     &bcsr_traffic(nbrows as usize, nblocks as usize, bs, 1.0),
                     machine.stream_bytes_per_s,
@@ -68,13 +65,14 @@ impl Experiment for Blockspec {
     }
 }
 
-/// Time the three kernel tiers on representative Jacobians at bs = 4 and 5.
+/// Time the generic and unrolled kernels on representative Jacobians at
+/// bs = 4 and 5.
 pub fn run(args: &BenchArgs) -> RunOutcome {
     let spec = args.family_spec(MeshFamily::Small);
     let mesh = spec.build();
     say!(
         args,
-        "Blockspec benchmark: {} vertices (scale {:.2}), kernels generic/fixed/batched",
+        "Blockspec benchmark: {} vertices (scale {:.2}), kernels generic/fixed",
         mesh.nverts(),
         args.scale
     );
@@ -94,139 +92,89 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
         let n = jac.nrows();
         let x: Vec<f64> = (0..n).map(|i| ((i % 23) as f64 - 11.0) / 11.0).collect();
         let rhs: Vec<f64> = (0..n).map(|i| ((i % 17) as f64 - 8.0) / 8.0).collect();
-        let base = BcsrMatrix::from_csr(&jac, bs);
-        let spmv_bytes = base.spmv_traffic_bytes();
+        let m = BcsrMatrix::from_csr(&jac, bs);
+        let f = BlockIluFactors::factor(&m).expect("representative Jacobian must factor");
+        let spmv_bytes = m.spmv_traffic_bytes();
+        let sweep_bytes = f.solve_traffic_bytes();
 
-        // Identity check before anything is timed: all tiers must agree
-        // bitwise on both the matvec and the sweep.
-        let mats: Vec<BcsrMatrix> = TIERS.iter().map(|&k| base.clone().with_kernel(k)).collect();
-        let facs: Vec<BlockIluFactors> = mats
-            .iter()
-            .map(|m| BlockIluFactors::factor(m).expect("representative Jacobian must factor"))
-            .collect();
-        let sweep_bytes = facs[0].solve_traffic_bytes();
+        // Identity check before anything is timed: the unrolled kernels
+        // on this run's thread team must agree bitwise with the
+        // sequential reference on both the matvec and the sweep.
         let mut y_ref = vec![0.0; n];
         let mut x_ref = vec![0.0; n];
-        mats[0].spmv_par(&x, &mut y_ref, &ctx);
-        facs[0].solve_par(&rhs, &mut x_ref, &ctx);
-        for (m, f) in mats.iter().zip(&facs).skip(1) {
-            let mut y = vec![0.0; n];
-            m.spmv_par(&x, &mut y, &ctx);
-            assert_eq!(
-                y_ref,
-                y,
-                "bs={bs} {}: spmv not bitwise identical",
-                m.kernel()
-            );
-            let mut xs = vec![0.0; n];
-            f.solve_par(&rhs, &mut xs, &ctx);
-            assert_eq!(
-                x_ref,
-                xs,
-                "bs={bs} {}: sweep not bitwise identical",
-                m.kernel()
-            );
-        }
-
-        // Structure telemetry from the batched tier.
-        let stats = mats[2]
-            .structure_stats()
-            .expect("batched tier has structure");
-        perf.push_metric(format!("b{bs}:hit_rate"), stats.hit_rate);
-        perf.push_metric(format!("b{bs}:mean_batch_len"), stats.mean_batch_len);
-        perf.push_metric(format!("b{bs}:ntemplates"), stats.ntemplates as f64);
-        perf.push_metric(format!("b{bs}_nbrows"), base.nbrows() as f64);
-        perf.push_metric(format!("b{bs}_nnz_blocks"), base.nnz_blocks() as f64);
-        {
-            let _g = tel.span(&format!("blockspec/structure_b{bs}"));
-            tel.counter("templates", stats.ntemplates as f64);
-            tel.counter("batches", stats.nbatches as f64);
-            tel.counter("hit_rate", stats.hit_rate);
-            tel.counter("mean_batch_len", stats.mean_batch_len);
-            tel.counter("max_batch_len", stats.max_batch_len as f64);
-        }
-
-        // Timed tiers: spans carry the analytic byte floor, so each tier
-        // gets an achieved-bandwidth row and a `<span>:gbps` gate metric.
-        let mut t_spmv = [0.0f64; 3];
-        let mut t_sweep = [0.0f64; 3];
+        m.spmv_generic(&x, &mut y_ref, &ParCtx::seq());
+        f.solve_generic(&rhs, &mut x_ref, &ParCtx::seq());
         let mut y = vec![0.0; n];
         let mut xs = vec![0.0; n];
-        for (ti, kernel) in TIERS.iter().enumerate() {
-            let (m, f) = (&mats[ti], &facs[ti]);
+        m.spmv_par(&x, &mut y, &ctx);
+        assert_eq!(y_ref, y, "bs={bs}: spmv not bitwise identical");
+        f.solve_par(&rhs, &mut xs, &ctx);
+        assert_eq!(x_ref, xs, "bs={bs}: sweep not bitwise identical");
+        perf.push_metric(format!("b{bs}_nbrows"), m.nbrows() as f64);
+        perf.push_metric(format!("b{bs}_nnz_blocks"), m.nnz_blocks() as f64);
+
+        // Timed kernels: spans carry the analytic byte floor, so each
+        // kernel gets an achieved-bandwidth row and a `<span>:gbps` gate
+        // metric.
+        let mut t_spmv = [0.0f64; 2];
+        let mut t_sweep = [0.0f64; 2];
+        for (ki, kernel) in KERNELS.iter().enumerate() {
             let spmv_label = format!("blockspec/spmv_b{bs}_{kernel}");
-            t_spmv[ti] = time_median(7, || {
+            t_spmv[ki] = time_median(7, || {
                 let _g = tel.span(&spmv_label);
                 tel.counter("bytes", spmv_bytes);
-                m.spmv_par(&x, &mut y, &ctx)
+                if ki == 0 {
+                    m.spmv_generic(&x, &mut y, &ctx)
+                } else {
+                    m.spmv_par(&x, &mut y, &ctx)
+                }
             });
             let sweep_label = format!("blockspec/bilu_b{bs}_{kernel}");
-            t_sweep[ti] = time_median(7, || {
+            t_sweep[ki] = time_median(7, || {
                 let _g = tel.span(&sweep_label);
                 tel.counter("bytes", sweep_bytes);
-                f.solve_par(&rhs, &mut xs, &ctx)
+                if ki == 0 {
+                    f.solve_generic(&rhs, &mut xs, &ctx)
+                } else {
+                    f.solve_par(&rhs, &mut xs, &ctx)
+                }
             });
-            perf.push_metric(format!("spmv_b{bs}:{kernel}_s"), t_spmv[ti]);
-            perf.push_metric(format!("bilu_b{bs}:{kernel}_s"), t_sweep[ti]);
-            if ti > 0 {
-                perf.push_metric(
-                    format!("spmv_b{bs}:{kernel}_speedup"),
-                    t_spmv[0] / t_spmv[ti],
-                );
-                perf.push_metric(
-                    format!("bilu_b{bs}:{kernel}_speedup"),
-                    t_sweep[0] / t_sweep[ti],
-                );
-            }
+            perf.push_metric(format!("spmv_b{bs}:{kernel}_s"), t_spmv[ki]);
+            perf.push_metric(format!("bilu_b{bs}:{kernel}_s"), t_sweep[ki]);
             rows.push(vec![
                 format!("{bs}x{bs}"),
                 kernel.to_string(),
-                format!("{:.3} ms", t_spmv[ti] * 1e3),
-                format!("{:.2}", spmv_bytes / t_spmv[ti] / 1e9),
-                format!("{:.3} ms", t_sweep[ti] * 1e3),
-                format!("{:.2}", sweep_bytes / t_sweep[ti] / 1e9),
-                if ti == 0 {
-                    "1.00x / 1.00x".into()
-                } else {
-                    format!(
-                        "{:.2}x / {:.2}x",
-                        t_spmv[0] / t_spmv[ti],
-                        t_sweep[0] / t_sweep[ti]
-                    )
-                },
+                format!("{:.3} ms", t_spmv[ki] * 1e3),
+                format!("{:.2}", spmv_bytes / t_spmv[ki] / 1e9),
+                format!("{:.3} ms", t_sweep[ki] * 1e3),
+                format!("{:.2}", sweep_bytes / t_sweep[ki] / 1e9),
+                format!(
+                    "{:.2}x / {:.2}x",
+                    t_spmv[0] / t_spmv[ki],
+                    t_sweep[0] / t_sweep[ki]
+                ),
             ]);
         }
-        // Headline gate metrics at the tier the solver stack actually runs
-        // (FUN3D_BLOCK_KERNEL, default batched) — so a baseline saved under
-        // `generic` gates a default run as `improved`, and a tier regression
-        // gates as a bandwidth drop.
-        if bs == 5 {
-            let hi = TIERS
-                .iter()
-                .position(|&k| k == BlockKernel::from_env())
-                .expect("every kernel tier is timed");
-            perf.push_metric("spmv_bcsr:gbps", spmv_bytes / t_spmv[hi] / 1e9);
-            perf.push_metric("bilu_sweep:gbps", sweep_bytes / t_sweep[hi] / 1e9);
-        }
+        let (spmv_speedup, sweep_speedup) = (t_spmv[0] / t_spmv[1], t_sweep[0] / t_sweep[1]);
+        perf.push_metric(format!("spmv_b{bs}:fixed_speedup"), spmv_speedup);
+        perf.push_metric(format!("bilu_b{bs}:fixed_speedup"), sweep_speedup);
         verdicts.push(format!(
-            "bs={bs}: batched {:.2}x spmv, {:.2}x sweep over generic (hit rate {:.0}%, mean batch {:.1})",
-            t_spmv[0] / t_spmv[2],
-            t_sweep[0] / t_sweep[2],
-            stats.hit_rate * 100.0,
-            stats.mean_batch_len,
+            "bs={bs}: fixed {spmv_speedup:.2}x spmv, {sweep_speedup:.2}x sweep over generic"
         ));
         if bs == 5 {
-            let pays = t_spmv[0] / t_spmv[2] > 1.0 && t_sweep[0] / t_sweep[2] > 1.0;
+            // Headline gate metrics at the kernels the solver stack runs.
+            perf.push_metric("spmv_bcsr:gbps", spmv_bytes / t_spmv[1] / 1e9);
+            perf.push_metric("bilu_sweep:gbps", sweep_bytes / t_sweep[1] / 1e9);
+            let pays = spmv_speedup > 1.0 && sweep_speedup > 1.0;
             verdicts.push(format!(
-                "blockspec verdict: batched {} ({:.2}x spmv over generic at bs=5)",
+                "blockspec verdict: fixed {} ({spmv_speedup:.2}x spmv over generic at bs=5)",
                 if pays { "pays off" } else { "shows no gain" },
-                t_spmv[0] / t_spmv[2],
             ));
         }
     }
     let _regions = args.profile_finish(&tel, &mut events);
     args.table(
-        "BCSR micro-kernel tiers (median of 7)",
+        "BCSR kernels (median of 7)",
         &[
             "block", "kernel", "spmv", "GB/s", "sweep", "GB/s", "speedup",
         ],
@@ -251,7 +199,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn blockspec_reports_tiers_and_structure() {
+    fn blockspec_reports_both_kernels() {
         let args = BenchArgs {
             scale: 0.02,
             quiet: true,
@@ -260,27 +208,25 @@ mod tests {
         let out = run(&args);
         let r = &out.report;
         for bs in [4, 5] {
-            for kernel in ["generic", "fixed", "batched"] {
+            for kernel in KERNELS {
                 assert!(
                     r.metric(&format!("spmv_b{bs}:{kernel}_s")).unwrap() > 0.0,
                     "missing spmv_b{bs}:{kernel}_s"
                 );
                 assert!(r.metric(&format!("bilu_b{bs}:{kernel}_s")).unwrap() > 0.0);
             }
-            let hit = r.metric(&format!("b{bs}:hit_rate")).unwrap();
-            assert!((0.0..=1.0).contains(&hit), "hit rate {hit}");
-            assert!(r.metric(&format!("b{bs}:ntemplates")).unwrap() >= 1.0);
-            assert!(r.metric(&format!("spmv_b{bs}:batched_speedup")).unwrap() > 0.0);
+            assert!(r.metric(&format!("spmv_b{bs}:fixed_speedup")).unwrap() > 0.0);
+            assert!(r.metric(&format!("bilu_b{bs}:fixed_speedup")).unwrap() > 0.0);
         }
         assert_eq!(r.metric("identity_ok"), Some(1.0));
         assert!(r.metric("spmv_bcsr:gbps").unwrap() > 0.0);
         assert!(r.metric("bilu_sweep:gbps").unwrap() > 0.0);
-        // The tier spans carry byte counters, so achieved-bandwidth
-        // metrics exist for every (block size, tier) pair.
+        // The kernel spans carry byte counters, so achieved-bandwidth
+        // metrics exist for every (block size, kernel) pair.
         let bw = r.bandwidth_metrics();
         for key in [
             "blockspec/spmv_b5_generic:gbps",
-            "blockspec/spmv_b5_batched:gbps",
+            "blockspec/spmv_b5_fixed:gbps",
             "blockspec/bilu_b4_fixed:gbps",
         ] {
             assert!(

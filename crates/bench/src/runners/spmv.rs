@@ -140,18 +140,8 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
         "index-traffic savings alone; more when the block structure helps the prefetcher)."
     );
 
-    let mut perf = PerfReport::new("spmv")
-        .with_meta("nverts", mesh.nverts().to_string())
-        .with_meta("block_kernel", jb.kernel().name());
+    let mut perf = PerfReport::new("spmv").with_meta("nverts", mesh.nverts().to_string());
     args.annotate(&mut perf);
-    if let Some(stats) = jb.structure_stats() {
-        // Repeated-block-structure telemetry from the batched tier: how
-        // much of the matrix the template dedup covers and how long the
-        // streamed batches run.
-        perf.push_metric("structure_hit_rate", stats.hit_rate);
-        perf.push_metric("structure_mean_batch_len", stats.mean_batch_len);
-        perf.push_metric("structure_ntemplates", stats.ntemplates as f64);
-    }
     perf.push_metric("nrows", n as f64);
     perf.push_metric("nnz", jac.nnz() as f64);
     perf.push_metric("nbrows", jb.nbrows() as f64);

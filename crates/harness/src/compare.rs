@@ -85,7 +85,6 @@ pub fn higher_is_better(key: &str) -> bool {
         "solves_per_s",
         "throughput",
         "hit_rate",
-        "batch_len",
         "confidence",
     ]
     .iter()
@@ -224,17 +223,14 @@ mod tests {
         // load imbalance (1.0 = balanced) improves downward.
         assert!(higher_is_better("spmv/csr:gbps"));
         assert!(!higher_is_better("spmv_csr:imbalance"));
-        // Micro-kernel tier metrics: achieved bandwidth, tier speedups,
-        // structure hit rate, and batch length improve upward; per-tier
-        // times and template counts improve downward.
+        // Block-kernel metrics: achieved bandwidth and the unrolled
+        // kernels' speedup improve upward; per-kernel times improve
+        // downward.
         assert!(higher_is_better("spmv_bcsr:gbps"));
         assert!(higher_is_better("bilu_sweep:gbps"));
-        assert!(higher_is_better("blockspec/spmv_b5_batched:gbps"));
-        assert!(higher_is_better("spmv_b5:batched_speedup"));
-        assert!(higher_is_better("b5:hit_rate"));
-        assert!(higher_is_better("b5:mean_batch_len"));
-        assert!(!higher_is_better("b5:ntemplates"));
-        assert!(!higher_is_better("spmv_b5:batched_s"));
+        assert!(higher_is_better("blockspec/spmv_b5_fixed:gbps"));
+        assert!(higher_is_better("spmv_b5:fixed_speedup"));
+        assert!(!higher_is_better("spmv_b5:fixed_s"));
         assert!(!higher_is_better("time_csr_s"));
         assert!(!higher_is_better("tlb_misses_row0"));
         assert!(!higher_is_better("linear_its"));

@@ -855,6 +855,37 @@ mod tests {
     }
 
     #[test]
+    fn zero_pivot_fails_the_request_and_keeps_the_worker() {
+        let eng = Engine::start(&EngineConfig {
+            workers: 1,
+            max_batch: 1,
+            ..Default::default()
+        });
+        let sc = tiny_scenario();
+        // A NaN CFL makes the pseudo-time shift NaN, so every pivot of the
+        // shifted Jacobian's ILU factorization is NaN: preconditioner setup
+        // fails on the first step.
+        let mut poisoned = tiny_nks();
+        poisoned.cfl0 = f64::NAN;
+        poisoned.cfl_max = f64::NAN;
+        let out = eng.submit(&sc, &poisoned).unwrap().wait();
+        assert!(out.is_failed());
+        let resp = out.response().expect("failed outcomes carry the response");
+        let anomaly = resp
+            .history
+            .anomaly
+            .as_ref()
+            .expect("failed outcome must carry the anomaly verdict");
+        assert_eq!(anomaly.kind, fun3d_solver::health::AnomalyKind::ZeroPivot);
+        // The only worker survived: a healthy request still completes.
+        let ok = eng.submit(&sc, &tiny_nks()).unwrap().wait();
+        assert!(ok.done().is_some());
+        let stats = eng.shutdown();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 1);
+    }
+
+    #[test]
     fn stats_expose_queue_and_in_flight_gauges() {
         let eng = Engine::start(&EngineConfig {
             workers: 1,

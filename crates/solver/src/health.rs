@@ -31,6 +31,9 @@ pub enum AnomalyKind {
     /// The line search rejected every trial step (accepted step length 0)
     /// for several consecutive steps: the CFL schedule cannot advance.
     CflBreakdown,
+    /// Preconditioner setup hit a singular pivot (point ILU, block ILU or
+    /// a Schwarz subdomain factorization).
+    ZeroPivot,
 }
 
 impl AnomalyKind {
@@ -41,6 +44,7 @@ impl AnomalyKind {
             AnomalyKind::Divergence => "divergence",
             AnomalyKind::Stagnation => "stagnation",
             AnomalyKind::CflBreakdown => "cfl_breakdown",
+            AnomalyKind::ZeroPivot => "zero_pivot",
         }
     }
 
@@ -51,6 +55,7 @@ impl AnomalyKind {
             "divergence" => Some(AnomalyKind::Divergence),
             "stagnation" => Some(AnomalyKind::Stagnation),
             "cfl_breakdown" => Some(AnomalyKind::CflBreakdown),
+            "zero_pivot" => Some(AnomalyKind::ZeroPivot),
             _ => None,
         }
     }
@@ -311,6 +316,7 @@ mod tests {
             AnomalyKind::Divergence,
             AnomalyKind::Stagnation,
             AnomalyKind::CflBreakdown,
+            AnomalyKind::ZeroPivot,
         ] {
             assert_eq!(AnomalyKind::from_tag(k.tag()), Some(k));
         }

@@ -15,7 +15,7 @@
 //! up to 1.5 for first-order phases).
 
 use crate::gmres::{gmres_with_events, GmresOptions};
-use crate::health::{Anomaly, HealthConfig, HealthMonitor};
+use crate::health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 use crate::op::{CsrOperator, FdJacobianOperator, PseudoTransientProblem};
 use crate::precond::{AdditiveSchwarz, BlockIluPrecond, IluPrecond, Preconditioner};
 use fun3d_sparse::bcsr::BcsrMatrix;
@@ -467,7 +467,7 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         let t0 = std::time::Instant::now();
         let pc_span = tel.span("precond");
         if pc_age >= opts.pc_refresh.max(1) {
-            pc_cache = Some(match &opts.precond {
+            let (what, built) = match &opts.precond {
                 PrecondSpec::Ilu(ilu) => {
                     // A matching warm template skips the symbolic ILU(k)
                     // analysis: clone + refactor runs the same numeric
@@ -480,28 +480,50 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
                     let factors = match template {
                         Some(t) => {
                             let mut f = t.clone();
-                            f.refactor(&jac).expect("ILU refactorization failed");
-                            f
+                            f.refactor(&jac).map(|()| f)
                         }
-                        None => IluFactors::factor(&jac, ilu).expect("ILU factorization failed"),
+                        None => IluFactors::factor(&jac, ilu),
                     };
-                    BuiltPrecond::Ilu(Box::new(IluPrecond::new(factors).with_par(opts.krylov.par)))
+                    let pc = factors.map(|f| {
+                        BuiltPrecond::Ilu(Box::new(IluPrecond::new(f).with_par(opts.krylov.par)))
+                    });
+                    ("ILU", pc)
                 }
-                PrecondSpec::BlockIlu { block } => BuiltPrecond::BlockIlu(Box::new(
+                PrecondSpec::BlockIlu { block } => (
+                    "block ILU",
                     BlockIluPrecond::factor(&jac, *block)
-                        .expect("block ILU factorization failed")
-                        .with_par(opts.krylov.par),
-                )),
+                        .map(|p| BuiltPrecond::BlockIlu(Box::new(p.with_par(opts.krylov.par)))),
+                ),
                 PrecondSpec::Schwarz {
                     owned_sets,
                     overlap,
                     ilu,
                     restricted,
-                } => BuiltPrecond::Schwarz(
+                } => (
+                    "Schwarz",
                     AdditiveSchwarz::new(&jac, owned_sets, *overlap, ilu, *restricted)
-                        .expect("Schwarz setup failed"),
+                        .map(BuiltPrecond::Schwarz),
                 ),
-            });
+            };
+            match built {
+                Ok(pc) => pc_cache = Some(pc),
+                Err(e) => {
+                    // A singular pivot ends the solve as a typed anomaly
+                    // rather than a panic, so callers (and serve workers)
+                    // get a failed history back.
+                    let anomaly = Anomaly {
+                        kind: AnomalyKind::ZeroPivot,
+                        step: step as u64,
+                        residual_norm: rnorm,
+                        detail: format!(
+                            "{what} setup failed at pseudo-step {step} (CFL {cfl:.3e}): {e}"
+                        ),
+                    };
+                    drop(pc_span);
+                    abort_with_anomaly(&mut history, anomaly, tel, events);
+                    break;
+                }
+            }
             pc_age = 0;
         }
         pc_age += 1;
@@ -1071,6 +1093,72 @@ mod tests {
             ),
             "anomaly event missing: {evs:?}"
         );
+    }
+
+    /// `R(q) = q - 1` with a Jacobian whose block row 1 (rows 2 and 3) is
+    /// the singular `[[1, 1], [1, 1]]` and carries no pseudo-time shift, so
+    /// every shifted Jacobian stays singular there.
+    struct SingularBlock;
+
+    impl PseudoTransientProblem for SingularBlock {
+        fn n(&self) -> usize {
+            8
+        }
+        fn residual(&self, q: &[f64], out: &mut [f64]) {
+            for (o, v) in out.iter_mut().zip(q) {
+                *o = v - 1.0;
+            }
+        }
+        fn jacobian(&self, _q: &[f64]) -> fun3d_sparse::CsrMatrix {
+            let mut t = fun3d_sparse::triplet::TripletMatrix::new(8, 8);
+            for i in [0, 1, 4, 5, 6, 7] {
+                t.push(i, i, 1.0);
+            }
+            t.push_block(1, 1, 2, &[1.0, 1.0, 1.0, 1.0]);
+            t.to_csr()
+        }
+        fn inverse_timestep_scale(&self, _q: &[f64]) -> Vec<f64> {
+            vec![1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+        }
+    }
+
+    #[test]
+    fn singular_block_aborts_with_zero_pivot_anomaly() {
+        let specs = [
+            PrecondSpec::Ilu(IluOptions::with_fill(0)),
+            PrecondSpec::BlockIlu { block: 2 },
+            PrecondSpec::Schwarz {
+                owned_sets: vec![(0..4).collect(), (4..8).collect()],
+                overlap: 0,
+                ilu: IluOptions::with_fill(0),
+                restricted: false,
+            },
+        ];
+        for precond in specs {
+            let mut opts = default_opts();
+            opts.precond = precond.clone();
+            let mut q = vec![0.0; 8];
+            let sink = EventSink::enabled();
+            let h = solve_pseudo_transient_with_events(
+                &mut SingularBlock,
+                &mut q,
+                &opts,
+                &Registry::disabled(),
+                &sink,
+            );
+            assert!(!h.converged, "{precond:?}");
+            assert_eq!(h.nsteps(), 0, "{precond:?}: must abort before stepping");
+            let anomaly = h.anomaly.expect("singular block must be flagged");
+            assert_eq!(anomaly.kind, AnomalyKind::ZeroPivot, "{precond:?}");
+            assert_eq!(anomaly.step, 0);
+            assert!(anomaly.detail.contains("zero pivot"), "{}", anomaly.detail);
+            assert!(
+                sink.drain().iter().any(
+                    |e| matches!(e, EventRecord::Anomaly { kind, .. } if kind == "zero_pivot")
+                ),
+                "{precond:?}: zero_pivot event missing"
+            );
+        }
     }
 
     #[test]

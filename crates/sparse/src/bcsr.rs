@@ -8,7 +8,6 @@
 //! the register-level reuse of `x` sub-vectors are what Table 1's "Structural
 //! Blocking" column measures.
 
-use crate::blockspec::{analyze, BlockKernel, BlockStructure, BlockStructureStats};
 use crate::csr::CsrMatrix;
 use crate::par::ParCtx;
 use std::ops::Range;
@@ -31,10 +30,6 @@ pub struct BcsrMatrix {
     /// source CSR matrix, its destination slot in `values` — makes
     /// [`BcsrMatrix::refill_from_csr`] a straight permutation copy.
     csr_value_map: Vec<u32>,
-    /// Micro-kernel tier selected at assembly time (`FUN3D_BLOCK_KERNEL`).
-    kernel: BlockKernel,
-    /// Repeated-structure analysis, present iff `kernel` is `Batched`.
-    structure: Option<BlockStructure>,
 }
 
 impl BcsrMatrix {
@@ -63,8 +58,6 @@ impl BcsrMatrix {
             "row_ptr not monotone"
         );
         assert!(col_idx.iter().all(|&c| (c as usize) < nbcols));
-        let kernel = BlockKernel::from_env();
-        let structure = (kernel == BlockKernel::Batched).then(|| analyze(&row_ptr, &col_idx));
         Self {
             nbrows,
             nbcols,
@@ -73,30 +66,7 @@ impl BcsrMatrix {
             col_idx,
             values,
             csr_value_map: Vec::new(),
-            kernel,
-            structure,
         }
-    }
-
-    /// Re-select the micro-kernel tier (normally chosen from
-    /// `FUN3D_BLOCK_KERNEL` at assembly time).  Re-runs the structure
-    /// analysis when switching into `Batched`, drops it when leaving.
-    pub fn with_kernel(mut self, kernel: BlockKernel) -> Self {
-        self.kernel = kernel;
-        self.structure =
-            (kernel == BlockKernel::Batched).then(|| analyze(&self.row_ptr, &self.col_idx));
-        self
-    }
-
-    /// The micro-kernel tier this matrix dispatches to.
-    pub fn kernel(&self) -> BlockKernel {
-        self.kernel
-    }
-
-    /// Repeated-structure statistics (template hit rate, batch lengths);
-    /// `None` unless the `Batched` tier is selected.
-    pub fn structure_stats(&self) -> Option<BlockStructureStats> {
-        self.structure.as_ref().map(|s| s.stats())
     }
 
     /// Convert a point CSR matrix into BCSR with block size `b`.
@@ -274,15 +244,12 @@ impl BcsrMatrix {
     ///
     /// Each `b`-entry slice of `x` is loaded once per adjacent block and
     /// reused across the block's `b` rows — the register-level reuse that
-    /// point CSR cannot express.  Dispatches to the micro-kernel tier
-    /// selected at assembly time ([`BcsrMatrix::kernel`]): unrolled lane
-    /// kernels for the block sizes the application uses (4: incompressible,
-    /// 5: compressible), optionally streamed over repeated-structure
-    /// batches.  Every tier returns bitwise-identical results.
+    /// point CSR cannot express.  Block sizes 1..=5 (4: incompressible,
+    /// 5: compressible) run const-unrolled lane kernels; other sizes run
+    /// the runtime-`b` loops of [`spmv_generic`](Self::spmv_generic).
+    /// Both are bitwise identical.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols(), "spmv x length mismatch");
-        assert_eq!(y.len(), self.nrows(), "spmv y length mismatch");
-        self.spmv_rows(x, 0..self.nbrows, y);
+        self.spmv_par(x, y, &ParCtx::seq());
     }
 
     /// Block-row-partitioned parallel [`spmv`](Self::spmv): each thread
@@ -291,13 +258,34 @@ impl BcsrMatrix {
     /// the result is bitwise identical to the sequential kernel for any
     /// thread count.
     pub fn spmv_par(&self, x: &[f64], y: &mut [f64], ctx: &ParCtx) {
+        self.spmv_with(x, y, ctx, Self::spmv_rows);
+    }
+
+    /// Reference SpMV: the runtime-`b` loops with no unrolling, for any
+    /// block size and thread count.  This is the bitwise oracle the
+    /// unrolled kernels are tested against and the baseline the
+    /// `blockspec` experiment times them against; solvers call
+    /// [`spmv`](Self::spmv) / [`spmv_par`](Self::spmv_par).
+    pub fn spmv_generic(&self, x: &[f64], y: &mut [f64], ctx: &ParCtx) {
+        self.spmv_with(x, y, ctx, Self::spmv_rows_generic);
+    }
+
+    /// Run a block-row kernel over all rows, sequentially or in
+    /// `b`-aligned thread chunks.
+    fn spmv_with(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        ctx: &ParCtx,
+        rows: fn(&Self, &[f64], Range<usize>, &mut [f64]),
+    ) {
         assert_eq!(x.len(), self.ncols(), "spmv x length mismatch");
         assert_eq!(y.len(), self.nrows(), "spmv y length mismatch");
         if ctx.nthreads() == 1 {
-            return self.spmv(x, y);
+            return rows(self, x, 0..self.nbrows, y);
         }
         ctx.parallel_for_slices("spmv_bcsr", y, self.b, |_, brows, ysub| {
-            self.spmv_rows(x, brows, ysub)
+            rows(self, x, brows, ysub)
         });
     }
 
@@ -306,11 +294,9 @@ impl BcsrMatrix {
     /// 1`: streamed block values (8 B per block entry), one 4-byte block
     /// column index per block, the block-row pointer (8 B/block row), plus
     /// one read of the source and one write of the destination vector.
-    /// Deliberately independent of the kernel tier (the batched tier reads
-    /// shared templates instead of per-block indices), so `<span>:gbps`
-    /// numbers computed from this floor stay comparable across
-    /// `FUN3D_BLOCK_KERNEL` modes — kernel wins show up as time, and hence
-    /// effective-bandwidth, improvements.
+    /// The same floor prices the unrolled and the reference kernels, so
+    /// kernel wins show up as time, and hence effective-bandwidth,
+    /// improvements.
     pub fn spmv_traffic_bytes(&self) -> f64 {
         let b = self.b as f64;
         let nblocks = (self.values.len() as f64) / (b * b);
@@ -320,24 +306,10 @@ impl BcsrMatrix {
     }
 
     /// Compute block rows `brows` into `y`, which holds exactly those rows
-    /// (`y[0]` is point row `brows.start * b`).
-    ///
-    /// Dispatch happens here, once per (sequential call | thread chunk),
-    /// never per row: the tier was fixed at assembly time, and the batched
-    /// tier falls back to the fixed kernel shape for block sizes without an
-    /// unrolled path.  All tiers are bitwise identical — they only reorder
-    /// updates to *independent* accumulators.
+    /// (`y[0]` is point row `brows.start * b`).  Dispatch happens here,
+    /// once per (sequential call | thread chunk), never per row.
     fn spmv_rows(&self, x: &[f64], brows: Range<usize>, y: &mut [f64]) {
-        if self.kernel == BlockKernel::Generic {
-            return self.spmv_rows_generic(x, brows, y);
-        }
-        let batched = self.kernel == BlockKernel::Batched;
         match self.b {
-            4 if batched => self.spmv_rows_batched::<4>(x, brows, y),
-            5 if batched => self.spmv_rows_batched::<5>(x, brows, y),
-            3 if batched => self.spmv_rows_batched::<3>(x, brows, y),
-            2 if batched => self.spmv_rows_batched::<2>(x, brows, y),
-            1 if batched => self.spmv_rows_batched::<1>(x, brows, y),
             4 => self.spmv_rows_fixed::<4>(x, brows, y),
             5 => self.spmv_rows_fixed::<5>(x, brows, y),
             3 => self.spmv_rows_fixed::<3>(x, brows, y),
@@ -363,52 +335,6 @@ impl BcsrMatrix {
             }
             let o = (bi - base) * B;
             y[o..o + B].copy_from_slice(&acc);
-        }
-    }
-
-    /// Batched tier: stream the fixed kernel over maximal runs of rows with
-    /// identical block structure.  Within a run every row has the same
-    /// length `L`, so block offsets advance arithmetically (`k += L`) and
-    /// column indices come from the run's shared delta template — the per
-    /// row `row_ptr` loads and per block `col_idx` loads of the fixed tier
-    /// disappear into a `L`-entry template that stays cache-hot for the
-    /// whole run.
-    fn spmv_rows_batched<const B: usize>(&self, x: &[f64], brows: Range<usize>, y: &mut [f64]) {
-        debug_assert_eq!(self.b, B);
-        let st = self
-            .structure
-            .as_ref()
-            .expect("batched kernel requires the structure analysis");
-        let base = brows.start;
-        let batches = st.batches();
-        // Batches tile the rows in order; start at the one covering
-        // brows.start (a thread chunk may begin mid-batch).
-        let mut ib = batches.partition_point(|t| (t.start + t.len) as usize <= brows.start);
-        while ib < batches.len() {
-            let bt = batches[ib];
-            let bstart = bt.start as usize;
-            if bstart >= brows.end {
-                break;
-            }
-            let lo = bstart.max(brows.start);
-            let hi = (bstart + bt.len as usize).min(brows.end);
-            let deltas = st.template_deltas(bt.template);
-            let len = deltas.len();
-            let mut k = self.row_ptr[lo];
-            for bi in lo..hi {
-                let mut acc = [0.0f64; B];
-                for (pos, &d) in deltas.iter().enumerate() {
-                    let bc = (bi as i64 + d) as usize;
-                    let xs = &x[bc * B..bc * B + B];
-                    let blk = &self.values[(k + pos) * B * B..(k + pos + 1) * B * B];
-                    block_madd::<B>(blk, xs, &mut acc);
-                }
-                k += len;
-                debug_assert_eq!(k, self.row_ptr[bi + 1]);
-                let o = (bi - base) * B;
-                y[o..o + B].copy_from_slice(&acc);
-            }
-            ib += 1;
         }
     }
 
@@ -578,39 +504,23 @@ mod tests {
     }
 
     #[test]
-    fn kernel_tiers_are_bitwise_identical() {
-        use crate::blockspec::BlockKernel;
+    fn unrolled_spmv_is_bitwise_generic() {
         let mut rng = SmallRng::seed_from_u64(23);
         for b in [1usize, 2, 3, 4, 5, 6] {
             let a = random_block_matrix(11, b, 500 + b as u64);
-            let base = BcsrMatrix::from_csr(&a, b).with_kernel(BlockKernel::Generic);
+            let ab = BcsrMatrix::from_csr(&a, b);
             let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut y0 = vec![0.0; a.nrows()];
-            base.spmv(&x, &mut y0);
-            for kernel in [BlockKernel::Fixed, BlockKernel::Batched] {
-                let ab = base.clone().with_kernel(kernel);
-                let mut y = vec![0.0; a.nrows()];
-                ab.spmv(&x, &mut y);
-                assert_eq!(y0, y, "b={b} kernel={kernel}: must be bitwise identical");
-                // ... including through the parallel chunking.
-                for nthreads in [2usize, 5] {
-                    let mut yp = vec![0.0; a.nrows()];
-                    ab.spmv_par(&x, &mut yp, &ParCtx::new(nthreads));
-                    assert_eq!(y0, yp, "b={b} kernel={kernel} nthreads={nthreads}");
-                }
+            ab.spmv_generic(&x, &mut y0, &ParCtx::seq());
+            let mut y = vec![0.0; a.nrows()];
+            ab.spmv(&x, &mut y);
+            assert_eq!(y0, y, "b={b}: must be bitwise identical");
+            // ... including through the parallel chunking.
+            for nthreads in [2usize, 5] {
+                let mut yp = vec![0.0; a.nrows()];
+                ab.spmv_par(&x, &mut yp, &ParCtx::new(nthreads));
+                assert_eq!(y0, yp, "b={b} nthreads={nthreads}");
             }
         }
-    }
-
-    #[test]
-    fn batched_tier_reports_structure_stats() {
-        let a = random_block_matrix(30, 4, 9);
-        let ab = BcsrMatrix::from_csr(&a, 4).with_kernel(crate::blockspec::BlockKernel::Batched);
-        let stats = ab.structure_stats().expect("batched tier has structure");
-        assert_eq!(stats.nrows, 30);
-        assert!(stats.ntemplates >= 1 && stats.ntemplates <= 30);
-        assert!(stats.nbatches >= 1);
-        let fixed = ab.with_kernel(crate::blockspec::BlockKernel::Fixed);
-        assert!(fixed.structure_stats().is_none());
     }
 }

@@ -10,7 +10,6 @@
 //! "Structural Blocking" column buys in the solve phase).
 
 use crate::bcsr::BcsrMatrix;
-use crate::blockspec::{analyze, BlockKernel, BlockStructure, BlockStructureStats};
 use crate::dense::{
     block_gemm, block_gemm_sub, block_gemv_b, block_gemv_sub, block_gemv_sub_b, lu_factor,
     lu_invert,
@@ -41,29 +40,14 @@ pub struct BlockIluFactors {
     /// computed once at factor time).
     l_levels: LevelSchedule,
     u_levels: LevelSchedule,
-    /// Micro-kernel tier the sweeps dispatch to (inherited from the matrix
-    /// at factor time, i.e. ultimately from `FUN3D_BLOCK_KERNEL`).
-    kernel: BlockKernel,
-    /// Repeated-structure analysis of the L / U patterns, present iff
-    /// `kernel` is `Batched`.  The sequential sweeps stream over the
-    /// batches; the level-scheduled parallel sweeps use the fixed kernels
-    /// (level order destroys row contiguity) but share the telemetry.
-    l_structure: Option<BlockStructure>,
-    u_structure: Option<BlockStructure>,
 }
 
 impl BlockIluFactors {
-    /// Factor a square BCSR matrix with zero block fill (the pattern of `A`),
-    /// inheriting the matrix's micro-kernel tier for the sweeps.
+    /// Factor a square BCSR matrix with zero block fill (the pattern of `A`).
     ///
     /// Returns [`IluError::ZeroPivot`] (with the *block row* index) when a
     /// diagonal block is singular.
     pub fn factor(a: &BcsrMatrix) -> Result<Self, IluError> {
-        Self::factor_with_kernel(a, a.kernel())
-    }
-
-    /// [`Self::factor`] with an explicit micro-kernel tier for the sweeps.
-    pub fn factor_with_kernel(a: &BcsrMatrix, kernel: BlockKernel) -> Result<Self, IluError> {
         assert_eq!(a.nbrows(), a.nbcols(), "block ILU needs a square matrix");
         let b = a.block_size();
         let bb = b * b;
@@ -173,9 +157,6 @@ impl BlockIluFactors {
 
         let l_levels = level_schedule(nb, &l_ptr, &l_idx, false);
         let u_levels = level_schedule(nb, &u_ptr, &u_idx, true);
-        let batched = kernel == BlockKernel::Batched;
-        let l_structure = batched.then(|| analyze(&l_ptr, &l_idx));
-        let u_structure = batched.then(|| analyze(&u_ptr, &u_idx));
         Ok(Self {
             b,
             nb,
@@ -188,24 +169,7 @@ impl BlockIluFactors {
             inv_diag,
             l_levels,
             u_levels,
-            kernel,
-            l_structure,
-            u_structure,
         })
-    }
-
-    /// The micro-kernel tier the triangular sweeps dispatch to.
-    pub fn kernel(&self) -> BlockKernel {
-        self.kernel
-    }
-
-    /// Repeated-structure statistics of the (lower, upper) sweep patterns;
-    /// `None` unless the `Batched` tier is selected.
-    pub fn structure_stats(&self) -> Option<(BlockStructureStats, BlockStructureStats)> {
-        match (&self.l_structure, &self.u_structure) {
-            (Some(l), Some(u)) => Some((l.stats(), u.stats())),
-            _ => None,
-        }
     }
 
     /// Block size.
@@ -243,13 +207,11 @@ impl BlockIluFactors {
         self.solve_in_place(x);
     }
 
-    /// In-place block triangular solves, dispatched once per call to the
-    /// micro-kernel tier fixed at factor time.  All tiers are bitwise
-    /// identical (see `tests/kernel_equivalence.rs`).
+    /// In-place block triangular solves.  Block sizes 1..=5 run
+    /// const-unrolled sweeps; other sizes run the runtime-`b` loops of
+    /// [`solve_generic`](Self::solve_generic).  Both are bitwise identical
+    /// (see `tests/kernel_equivalence.rs`).
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        if self.kernel == BlockKernel::Generic {
-            return self.solve_in_place_generic(x);
-        }
         match self.b {
             4 => self.solve_in_place_b::<4>(x),
             5 => self.solve_in_place_b::<5>(x),
@@ -260,7 +222,23 @@ impl BlockIluFactors {
         }
     }
 
-    /// Runtime-`b` sweeps — the scalar baseline tier.  The per-call scratch
+    /// Reference solve: the runtime-`b` sweeps with no unrolling —
+    /// sequential for one thread, level-scheduled otherwise.  This is the
+    /// bitwise oracle the unrolled sweeps are tested against and the
+    /// baseline the `blockspec` experiment times them against; solvers
+    /// call [`solve`](Self::solve) / [`solve_par`](Self::solve_par).
+    pub fn solve_generic(&self, rhs: &[f64], x: &mut [f64], ctx: &ParCtx) {
+        assert_eq!(rhs.len(), self.n());
+        assert_eq!(x.len(), self.n());
+        x.copy_from_slice(rhs);
+        if ctx.nthreads() == 1 {
+            self.solve_in_place_generic(x);
+        } else {
+            self.solve_in_place_par_generic(x, ctx);
+        }
+    }
+
+    /// Runtime-`b` sequential sweeps.  The per-call scratch
     /// vectors are allocated once; the loops themselves allocate nothing
     /// (`x` sub-blocks are borrowed in place, disjoint from the local
     /// accumulators).
@@ -294,72 +272,31 @@ impl BlockIluFactors {
         }
     }
 
-    /// Const-unrolled sweeps for the fixed and batched tiers: stack-array
-    /// accumulators, lane gemv kernels, and — when the structure analysis
-    /// is present — batch streaming with template column deltas and
-    /// arithmetic block offsets in place of per-row `l_ptr`/`l_idx` loads.
+    /// Const-unrolled sequential sweeps: stack-array accumulators and the
+    /// lane gemv kernels.
     fn solve_in_place_b<const B: usize>(&self, x: &mut [f64]) {
         let bb = B * B;
         // Forward: (I + L) y = rhs.
-        if let Some(st) = &self.l_structure {
-            for bt in st.batches() {
-                let deltas = st.template_deltas(bt.template);
-                let len = deltas.len();
-                let mut li = self.l_ptr[bt.start as usize];
-                for i in bt.start as usize..bt.start as usize + bt.len as usize {
-                    let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                    for (pos, &d) in deltas.iter().enumerate() {
-                        let k = (i as i64 + d) as usize;
-                        let lik = &self.l_vals[(li + pos) * bb..(li + pos + 1) * bb];
-                        block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
-                    }
-                    li += len;
-                    x[i * B..(i + 1) * B].copy_from_slice(&xi);
-                }
+        for i in 0..self.nb {
+            let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
+            for li in self.l_ptr[i]..self.l_ptr[i + 1] {
+                let k = self.l_idx[li] as usize;
+                let lik = &self.l_vals[li * bb..(li + 1) * bb];
+                block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
             }
-        } else {
-            for i in 0..self.nb {
-                let mut xi: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                for li in self.l_ptr[i]..self.l_ptr[i + 1] {
-                    let k = self.l_idx[li] as usize;
-                    let lik = &self.l_vals[li * bb..(li + 1) * bb];
-                    block_gemv_sub_b::<B>(lik, &x[k * B..k * B + B], &mut xi);
-                }
-                x[i * B..(i + 1) * B].copy_from_slice(&xi);
-            }
+            x[i * B..(i + 1) * B].copy_from_slice(&xi);
         }
         // Backward: (D + U) x = y  =>  x_i = invD_i (y_i - sum U_ij x_j).
-        if let Some(st) = &self.u_structure {
-            for bt in st.batches().iter().rev() {
-                let deltas = st.template_deltas(bt.template);
-                let start = bt.start as usize;
-                let len = deltas.len();
-                let ui0 = self.u_ptr[start];
-                for i in (start..start + bt.len as usize).rev() {
-                    let ui = ui0 + (i - start) * len;
-                    let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                    for (pos, &d) in deltas.iter().enumerate() {
-                        let j = (i as i64 + d) as usize;
-                        let uij = &self.u_vals[(ui + pos) * bb..(ui + pos + 1) * bb];
-                        block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
-                    }
-                    let invd = &self.inv_diag[i * bb..(i + 1) * bb];
-                    let out = block_gemv_b::<B>(invd, &acc);
-                    x[i * B..(i + 1) * B].copy_from_slice(&out);
-                }
+        for i in (0..self.nb).rev() {
+            let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
+            for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
+                let j = self.u_idx[ui] as usize;
+                let uij = &self.u_vals[ui * bb..(ui + 1) * bb];
+                block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
             }
-        } else {
-            for i in (0..self.nb).rev() {
-                let mut acc: [f64; B] = x[i * B..(i + 1) * B].try_into().unwrap();
-                for ui in self.u_ptr[i]..self.u_ptr[i + 1] {
-                    let j = self.u_idx[ui] as usize;
-                    let uij = &self.u_vals[ui * bb..(ui + 1) * bb];
-                    block_gemv_sub_b::<B>(uij, &x[j * B..j * B + B], &mut acc);
-                }
-                let invd = &self.inv_diag[i * bb..(i + 1) * bb];
-                let out = block_gemv_b::<B>(invd, &acc);
-                x[i * B..(i + 1) * B].copy_from_slice(&out);
-            }
+            let invd = &self.inv_diag[i * bb..(i + 1) * bb];
+            let out = block_gemv_b::<B>(invd, &acc);
+            x[i * B..(i + 1) * B].copy_from_slice(&out);
         }
     }
 
@@ -385,9 +322,6 @@ impl BlockIluFactors {
         if ctx.nthreads() == 1 {
             return self.solve_in_place(x);
         }
-        if self.kernel == BlockKernel::Generic {
-            return self.solve_in_place_par_generic(x, ctx);
-        }
         match self.b {
             4 => self.solve_in_place_par_b::<4>(x, ctx),
             5 => self.solve_in_place_par_b::<5>(x, ctx),
@@ -398,7 +332,7 @@ impl BlockIluFactors {
         }
     }
 
-    /// Runtime-`b` level sweeps — the scalar baseline tier.
+    /// Runtime-`b` level sweeps.
     fn solve_in_place_par_generic(&self, x: &mut [f64], ctx: &ParCtx) {
         let b = self.b;
         let bb = b * b;
@@ -449,12 +383,11 @@ impl BlockIluFactors {
         }
     }
 
-    /// Const-unrolled level sweeps for the fixed and batched tiers.  The
-    /// level schedule fixes which rows run when, and the per-row arithmetic
-    /// is the exact sequential sequence, so this stays bitwise identical to
-    /// [`Self::solve_in_place`] for any thread count; the only changes are
-    /// stack-array accumulators and the lane gemv kernels — the sweep
-    /// closures allocate nothing.
+    /// Const-unrolled level sweeps.  The level schedule fixes which rows
+    /// run when, and the per-row arithmetic is the exact sequential
+    /// sequence, so this stays bitwise identical to
+    /// [`Self::solve_in_place`] for any thread count; the sweep closures
+    /// allocate nothing.
     fn solve_in_place_par_b<const B: usize>(&self, x: &mut [f64], ctx: &ParCtx) {
         let bb = B * B;
         let view = DisjointSliceMut::new(x);
@@ -696,46 +629,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_kernel_tiers_are_bitwise_identical() {
-        use crate::blockspec::BlockKernel;
+    fn unrolled_sweeps_are_bitwise_generic() {
         use crate::par::ParCtx;
-        for b in [2usize, 4, 5] {
+        for b in [1usize, 2, 3, 4, 5, 6] {
             let a = block_tridiag(22, b, 31);
             let ab = BcsrMatrix::from_csr(&a, b);
+            let f = BlockIluFactors::factor(&ab).unwrap();
             let n = a.nrows();
             let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).sin()).collect();
-            let fg = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Generic).unwrap();
             let mut x0 = vec![0.0; n];
-            fg.solve(&rhs, &mut x0);
-            for kernel in [BlockKernel::Fixed, BlockKernel::Batched] {
-                let f = BlockIluFactors::factor_with_kernel(&ab, kernel).unwrap();
-                assert_eq!(f.kernel(), kernel);
-                let mut x = vec![0.0; n];
-                f.solve(&rhs, &mut x);
-                assert_eq!(x0, x, "b={b} kernel={kernel}");
-                for nthreads in [2usize, 4] {
-                    let mut xp = vec![0.0; n];
-                    f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
-                    assert_eq!(x0, xp, "b={b} kernel={kernel} nthreads={nthreads}");
-                }
+            f.solve_generic(&rhs, &mut x0, &ParCtx::seq());
+            let mut x = vec![0.0; n];
+            f.solve(&rhs, &mut x);
+            assert_eq!(x0, x, "b={b}");
+            for nthreads in [2usize, 4] {
+                let mut xp = vec![0.0; n];
+                f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
+                assert_eq!(x0, xp, "b={b} nthreads={nthreads}");
             }
         }
-    }
-
-    #[test]
-    fn batched_factor_reports_sweep_structure() {
-        use crate::blockspec::BlockKernel;
-        let a = block_tridiag(22, 4, 31);
-        let ab = BcsrMatrix::from_csr(&a, 4);
-        let fb = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Batched).unwrap();
-        let (ls, us) = fb.structure_stats().expect("batched tier has structure");
-        // Tridiagonal: L rows are (empty, then all "previous row"); high reuse.
-        assert_eq!(ls.nrows, 22);
-        assert_eq!(us.nrows, 22);
-        assert!(ls.hit_rate > 0.9, "{ls:?}");
-        assert!(us.hit_rate > 0.9, "{us:?}");
-        let ff = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Fixed).unwrap();
-        assert!(ff.structure_stats().is_none());
     }
 
     #[test]

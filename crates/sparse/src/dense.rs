@@ -135,7 +135,7 @@ pub fn block_gemv(a: &[f64], x: &[f64], y: &mut [f64], n: usize) {
 
 /// `y <- y - A x` for a row-major `N x N` block with `N` known at compile
 /// time: the const-unrolled lane twin of [`block_gemv_sub`], used by the
-/// fixed/batched block-ILU sweep kernels.
+/// unrolled block-ILU sweep kernels.
 ///
 /// Bitwise identical to [`block_gemv_sub`]: each accumulator `y[r]` sees
 /// its subtractions in ascending-column order either way (the lane form

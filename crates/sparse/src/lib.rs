@@ -8,6 +8,9 @@
 //! * [`bcsr::BcsrMatrix`] — block compressed sparse row storage (PETSc `BAIJ`
 //!   analogue) exploiting the small dense blocks that arise when the field
 //!   variables at a grid point are interlaced ("structural blocking").
+//!   Block sizes 1..=5 run const-unrolled SpMV kernels; other sizes run
+//!   the runtime-`b` reference loops ([`bcsr::BcsrMatrix::spmv_generic`]),
+//!   which double as the bitwise oracle for the unrolled ones.
 //! * [`layout`] — interlaced vs. segregated ("noninterlaced") vector layouts
 //!   and conversions between them (Section 2.1.1 of the paper).
 //! * [`ilu`] — level-of-fill incomplete factorization ILU(k) with forward and
@@ -15,10 +18,8 @@
 //!   double-precision arithmetic* variant of Section 2.2 (Table 2).
 //! * [`block_ilu`] — point-block ILU(0) on BCSR (PETSc `PCILU`+`BAIJ`), the
 //!   factorization PETSc-FUN3D actually applies once blocking is on.
-//! * [`blockspec`] — micro-kernel tier selection (`FUN3D_BLOCK_KERNEL`) and
-//!   the repeated-block-structure analysis pass that hashes, deduplicates,
-//!   and batches identical row patterns so one unrolled kernel can stream
-//!   through whole runs of rows without per-row index loads.
+//!   Its sweeps dispatch the same way, with
+//!   [`block_ilu::BlockIluFactors::solve_generic`] as the reference.
 //! * [`dense`] — small dense block helpers (LU with partial pivoting) used by
 //!   the block preconditioners.
 //! * [`vec_ops`] — the BLAS-1 style vector kernels (dot, axpy, norms) that the
@@ -37,7 +38,6 @@
 
 pub mod bcsr;
 pub mod block_ilu;
-pub mod blockspec;
 pub mod csr;
 pub mod dense;
 pub mod ilu;
@@ -49,7 +49,6 @@ pub mod vec_ops;
 
 pub use bcsr::BcsrMatrix;
 pub use block_ilu::BlockIluFactors;
-pub use blockspec::{BlockKernel, BlockStructure, BlockStructureStats};
 pub use csr::CsrMatrix;
 pub use ilu::{IluFactors, IluOptions, PrecStorage};
 pub use par::ParCtx;

@@ -559,7 +559,13 @@ mod tests {
                 });
             }
         }
-        let stats = crate::profile::drain();
+        // The profiler is process-global: tests running alongside this one
+        // may record their own parallel regions while it is enabled, so
+        // judge only the regions this test opened.
+        let stats: Vec<_> = crate::profile::drain()
+            .into_iter()
+            .filter(|s| s.label.starts_with("id_"))
+            .collect();
         crate::profile::set_enabled(false);
         let labels: Vec<&str> = stats.iter().map(|s| s.label).collect();
         for want in ["id_for", "id_map", "id_slices"] {

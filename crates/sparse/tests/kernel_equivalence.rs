@@ -1,27 +1,24 @@
-//! Bitwise equivalence of the BCSR micro-kernel tiers.
+//! Bitwise equivalence of the unrolled BCSR kernels with the generic
+//! reference.
 //!
-//! The determinism story (seq == par for any thread count) extends across
-//! `FUN3D_BLOCK_KERNEL` tiers: generic, fixed, and batched kernels must
-//! produce *bitwise identical* SpMV and block-ILU sweep results — the
-//! tiers only reorder updates to independent accumulators, never the
-//! addition sequence feeding one accumulator.  Property tests over random
-//! block patterns (including empty rows, degenerate one-row matrices, and
-//! block sizes 1..=6, i.e. both unrolled and fallback paths) pin that
-//! contract, together with unit cases for the structure-dedup pass.
+//! SpMV and the block-ILU sweeps dispatch on the block size alone: 1..=5
+//! run const-unrolled lane kernels, everything else runs the runtime-`b`
+//! loops.  Those loops are also exposed as the reference
+//! (`BcsrMatrix::spmv_generic`, `BlockIluFactors::solve_generic`), and the
+//! dispatched path must reproduce them *bitwise* — sequentially and for
+//! any thread count — because the unrolled kernels only reorder updates
+//! to independent accumulators, never the addition sequence feeding one
+//! accumulator.  Property tests over random block patterns (including
+//! empty rows, degenerate one-row matrices, and block sizes 1..=6, i.e.
+//! both unrolled and fallback paths) pin that contract.
 
 use fun3d_sparse::bcsr::BcsrMatrix;
 use fun3d_sparse::block_ilu::BlockIluFactors;
-use fun3d_sparse::blockspec::{analyze, BlockKernel};
 use fun3d_sparse::par::ParCtx;
 use fun3d_sparse::triplet::TripletMatrix;
 use fun3d_sparse::CsrMatrix;
 use proptest::prelude::*;
 
-const TIERS: [BlockKernel; 3] = [
-    BlockKernel::Generic,
-    BlockKernel::Fixed,
-    BlockKernel::Batched,
-];
 const THREAD_COUNTS: [usize; 3] = [2, 3, 7];
 
 /// A block-structured matrix from block-triplet entries; rows with no
@@ -58,154 +55,100 @@ fn dd_block_matrix(nb: usize, b: usize, entries: &[(usize, usize, f64)]) -> CsrM
     t.to_csr()
 }
 
+/// Dispatched SpMV (sequential and every thread count) against the
+/// sequential generic reference.
+fn check_spmv(ab: &BcsrMatrix) -> Result<(), String> {
+    let n = ab.nrows();
+    let x: Vec<f64> = (0..ab.ncols()).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut y0 = vec![f64::NAN; n];
+    ab.spmv_generic(&x, &mut y0, &ParCtx::seq());
+    let mut y = vec![f64::NAN; n];
+    ab.spmv(&x, &mut y);
+    if y != y0 {
+        return Err("sequential spmv".into());
+    }
+    for nthreads in THREAD_COUNTS {
+        let mut yp = vec![f64::NAN; n];
+        ab.spmv_par(&x, &mut yp, &ParCtx::new(nthreads));
+        if yp != y0 {
+            return Err(format!("spmv_par nthreads={nthreads}"));
+        }
+    }
+    Ok(())
+}
+
+/// Dispatched block-ILU sweeps (sequential and level-scheduled at every
+/// thread count) against the sequential generic reference.
+fn check_sweeps(f: &BlockIluFactors) -> Result<(), String> {
+    let n = f.n();
+    let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
+    let mut x0 = vec![0.0; n];
+    f.solve_generic(&rhs, &mut x0, &ParCtx::seq());
+    let mut x = vec![0.0; n];
+    f.solve(&rhs, &mut x);
+    if x != x0 {
+        return Err("sequential sweep".into());
+    }
+    for nthreads in THREAD_COUNTS {
+        let mut xp = vec![0.0; n];
+        f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
+        if xp != x0 {
+            return Err(format!("solve_par nthreads={nthreads}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// SpMV: all three tiers bitwise-equal, sequential and parallel, for
-    /// block sizes spanning the unrolled paths (1..=5) and the generic
-    /// fallback (6), with patterns that include fully empty block rows.
+    /// SpMV: dispatched path bitwise-equal to the generic reference,
+    /// sequential and parallel, for block sizes spanning the unrolled
+    /// paths (1..=5) and the generic fallback (6), with patterns that
+    /// include fully empty block rows.
     #[test]
-    fn spmv_tiers_bitwise_equal(
+    fn spmv_bitwise_equals_generic(
         nb in 1usize..16,
         b in 1usize..7,
         entries in proptest::collection::vec((0usize..16, 0usize..16, -1.0f64..1.0), 0..80),
     ) {
-        let a = block_matrix(nb, b, &entries);
-        let base = BcsrMatrix::from_csr(&a, b).with_kernel(BlockKernel::Generic);
-        let x: Vec<f64> = (0..nb * b).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y0 = vec![f64::NAN; nb * b];
-        base.spmv(&x, &mut y0);
-        for kernel in TIERS {
-            let ab = base.clone().with_kernel(kernel);
-            let mut y = vec![f64::NAN; nb * b];
-            ab.spmv(&x, &mut y);
-            prop_assert_eq!(&y0, &y, "kernel={} b={}", kernel, b);
-            for nthreads in THREAD_COUNTS {
-                let mut yp = vec![f64::NAN; nb * b];
-                ab.spmv_par(&x, &mut yp, &ParCtx::new(nthreads));
-                prop_assert_eq!(&y0, &yp, "kernel={} b={} nthreads={}", kernel, b, nthreads);
-            }
-        }
+        let ab = BcsrMatrix::from_csr(&block_matrix(nb, b, &entries), b);
+        let verdict = check_spmv(&ab);
+        prop_assert!(verdict.is_ok(), "b={} nb={}: {:?}", b, nb, verdict);
     }
 
-    /// Block-ILU sweeps: all three tiers bitwise-equal, sequential and
-    /// level-scheduled parallel.
+    /// Block-ILU sweeps: dispatched path bitwise-equal to the generic
+    /// reference, sequential and level-scheduled parallel.
     #[test]
-    fn bilu_sweep_tiers_bitwise_equal(
+    fn bilu_sweep_bitwise_equals_generic(
         nb in 1usize..14,
         b in 1usize..7,
         entries in proptest::collection::vec((0usize..14, 0usize..14, -1.0f64..1.0), 0..50),
     ) {
-        let a = dd_block_matrix(nb, b, &entries);
-        let ab = BcsrMatrix::from_csr(&a, b);
-        let f0 = BlockIluFactors::factor_with_kernel(&ab, BlockKernel::Generic).unwrap();
-        let n = nb * b;
-        let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.71).cos()).collect();
-        let mut x0 = vec![0.0; n];
-        f0.solve(&rhs, &mut x0);
-        for kernel in TIERS {
-            let f = BlockIluFactors::factor_with_kernel(&ab, kernel).unwrap();
-            let mut x = vec![0.0; n];
-            f.solve(&rhs, &mut x);
-            prop_assert_eq!(&x0, &x, "kernel={} b={}", kernel, b);
-            for nthreads in THREAD_COUNTS {
-                let mut xp = vec![0.0; n];
-                f.solve_par(&rhs, &mut xp, &ParCtx::new(nthreads));
-                prop_assert_eq!(&x0, &xp, "kernel={} b={} nthreads={}", kernel, b, nthreads);
-            }
-        }
-    }
-
-    /// The structure pass is well-formed on arbitrary patterns: batches
-    /// tile the rows in order, every row's template deltas reproduce its
-    /// column indices, and rows sharing a template really have identical
-    /// relative patterns.
-    #[test]
-    fn structure_analysis_is_consistent(
-        nb in 0usize..16,
-        entries in proptest::collection::vec((0usize..16, 0usize..16, 0i32..1), 0..80),
-    ) {
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for &(i, j, _) in &entries {
-            if i < nb && j < nb {
-                rows[i].push(j as u32);
-            }
-        }
-        let mut row_ptr = vec![0usize];
-        let mut col_idx: Vec<u32> = Vec::new();
-        for r in &mut rows {
-            r.sort_unstable();
-            r.dedup();
-            col_idx.extend_from_slice(r);
-            row_ptr.push(col_idx.len());
-        }
-        let st = analyze(&row_ptr, &col_idx);
-        // Batches tile 0..nb in order.
-        let mut next = 0u32;
-        for bt in st.batches() {
-            prop_assert_eq!(bt.start, next);
-            prop_assert!(bt.len >= 1);
-            next += bt.len;
-        }
-        prop_assert_eq!(next as usize, nb);
-        // Each row's template deltas reproduce its columns exactly.
-        for bi in 0..nb {
-            let t = st.template_of_row()[bi];
-            let deltas = st.template_deltas(t);
-            let cols = &col_idx[row_ptr[bi]..row_ptr[bi + 1]];
-            prop_assert_eq!(deltas.len(), cols.len());
-            for (&d, &c) in deltas.iter().zip(cols) {
-                prop_assert_eq!(bi as i64 + d, c as i64);
-            }
-        }
+        let ab = BcsrMatrix::from_csr(&dd_block_matrix(nb, b, &entries), b);
+        let f = BlockIluFactors::factor(&ab).unwrap();
+        let verdict = check_sweeps(&f);
+        prop_assert!(verdict.is_ok(), "b={} nb={}: {:?}", b, nb, verdict);
     }
 }
 
 /// Degenerate shapes the proptest generators may not always hit: a single
-/// block row, and a matrix whose rows are all empty (zero batches of work,
-/// non-zero rows).
+/// block row, and a matrix whose rows are all empty (no work, non-zero
+/// rows).
 #[test]
-fn degenerate_shapes_are_bitwise_equal() {
-    for b in [1usize, 4, 5] {
+fn degenerate_shapes_are_bitwise_generic() {
+    for b in 1usize..=6 {
         // Single block row with a self block.
         let one = block_matrix(1, b, &[(0, 0, 0.5)]);
         // All rows empty: spmv must still zero the output.
         let empty = block_matrix(3, b, &[]);
         for a in [one, empty] {
-            let base = BcsrMatrix::from_csr(&a, b).with_kernel(BlockKernel::Generic);
-            let x: Vec<f64> = (0..a.ncols()).map(|i| i as f64 + 0.5).collect();
-            let mut y0 = vec![f64::NAN; a.nrows()];
-            base.spmv(&x, &mut y0);
-            for kernel in [BlockKernel::Fixed, BlockKernel::Batched] {
-                let ab = base.clone().with_kernel(kernel);
-                let mut y = vec![f64::NAN; a.nrows()];
-                ab.spmv(&x, &mut y);
-                assert_eq!(y0, y, "b={b} kernel={kernel}");
-            }
+            let ab = BcsrMatrix::from_csr(&a, b);
+            check_spmv(&ab).unwrap_or_else(|e| panic!("b={b} nb={}: {e}", ab.nbrows()));
         }
+        // One-row sweep: no L or U blocks, the diagonal inverse only.
+        let ab = BcsrMatrix::from_csr(&dd_block_matrix(1, b, &[]), b);
+        let f = BlockIluFactors::factor(&ab).unwrap();
+        check_sweeps(&f).unwrap_or_else(|e| panic!("b={b} one-row sweep: {e}"));
     }
-}
-
-/// The dedup hash groups *shifted-but-identical* patterns (same relative
-/// stencil at different rows) into one template, and distinguishes
-/// patterns that differ in any column.
-#[test]
-fn dedup_groups_shifted_identical_patterns() {
-    // Rows 0, 2, 4 carry (self, self+1); rows 1, 3 carry (self-1, self).
-    let row_ptr = vec![0usize, 2, 4, 6, 8, 10];
-    let col_idx = vec![0u32, 1, 0, 1, 2, 3, 2, 3, 4, 5];
-    let st = analyze(&row_ptr, &col_idx);
-    let t = st.template_of_row();
-    assert_eq!(t[0], t[2]);
-    assert_eq!(t[2], t[4]);
-    assert_eq!(t[1], t[3]);
-    assert_ne!(t[0], t[1]);
-    assert_eq!(st.ntemplates(), 2);
-    assert_eq!(st.template_deltas(t[0]), &[0, 1]);
-    assert_eq!(st.template_deltas(t[1]), &[-1, 0]);
-    // Alternating templates -> five singleton batches (no false merging).
-    assert_eq!(st.batches().len(), 5);
-    let stats = st.stats();
-    assert!((stats.hit_rate - 1.0).abs() < 1e-15, "{stats:?}");
-    assert_eq!(stats.max_batch_len, 1);
 }

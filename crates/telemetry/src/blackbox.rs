@@ -615,12 +615,17 @@ mod tests {
         let _g = guard();
         arm(32, None);
         let stop = Arc::new(AtomicBool::new(false));
+        // Start handshake: the writer signals once its ring exists (after
+        // its first push), so every dump below runs against a live writer.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
         let writer = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("bb-hammer".into())
                 .spawn(move || {
-                    let mut n: u64 = 0;
+                    counter("bb_dump/hammer", 0.0);
+                    started_tx.send(()).unwrap();
+                    let mut n: u64 = 1;
                     while !stop.load(Ordering::Relaxed) {
                         counter("bb_dump/hammer", n as f64);
                         n += 1;
@@ -629,6 +634,7 @@ mod tests {
                 })
                 .unwrap()
         };
+        started_rx.recv().unwrap();
         // Dump repeatedly while the writer hammers its ring.
         let mut last = String::new();
         for _ in 0..20 {
