@@ -26,6 +26,9 @@ fi
 
 cargo build --release --workspace
 cargo test -q --workspace
+# perfbench (the package BENCHMARK.json runs) is outside the workspace but
+# builds against the solver crates' API, so build and test it here too.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 if [ -z "${CI_SKIP_LINT:-}" ]; then
     run_lint
 fi

@@ -4,13 +4,13 @@
 //! compressible).
 //!
 //! The unrolled kernels are verified bitwise-identical to the sequential
-//! reference in-run before anything is timed, and the achieved-bandwidth
-//! spans feed the `spmv_bcsr:gbps` / `bilu_sweep:gbps` gate metrics the
-//! CI perf pipeline regresses against.
+//! reference in-run before anything is timed.  The timed samples of the
+//! two kernels are interleaved, so drift in the host's speed during the
+//! run slows both alike.  The achieved-bandwidth spans feed the
+//! `spmv_bcsr:gbps` / `bilu_sweep:gbps` gate metrics the CI perf pipeline
+//! regresses against.
 
-use crate::{
-    representative_jacobian, say, time_median, BenchArgs, Experiment, ModelEstimate, RunOutcome,
-};
+use crate::{representative_jacobian, say, BenchArgs, Experiment, ModelEstimate, RunOutcome};
 use fun3d_euler::model::FlowModel;
 use fun3d_memmodel::machine::MachineSpec;
 use fun3d_memmodel::spmv_model::{bcsr_traffic, predicted_time};
@@ -21,6 +21,7 @@ use fun3d_sparse::layout::FieldLayout;
 use fun3d_sparse::par::ParCtx;
 use fun3d_telemetry::report::PerfReport;
 use fun3d_telemetry::Registry;
+use std::time::Instant;
 
 /// `blockspec` as a harness experiment.
 pub struct Blockspec;
@@ -28,6 +29,9 @@ pub struct Blockspec;
 /// The timed kernels: the reference loops first (the speedup baseline),
 /// then the unrolled kernels the solvers dispatch to.
 const KERNELS: [&str; 2] = ["generic", "fixed"];
+
+/// Timed samples per kernel.
+const SAMPLES: usize = 7;
 
 impl Experiment for Blockspec {
     fn name(&self) -> &'static str {
@@ -116,29 +120,27 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
         // Timed kernels: spans carry the analytic byte floor, so each
         // kernel gets an achieved-bandwidth row and a `<span>:gbps` gate
         // metric.
-        let mut t_spmv = [0.0f64; 2];
-        let mut t_sweep = [0.0f64; 2];
+        let spmv_labels = KERNELS.map(|k| format!("blockspec/spmv_b{bs}_{k}"));
+        let t_spmv = interleaved_medians(|ki| {
+            let _g = tel.span(&spmv_labels[ki]);
+            tel.counter("bytes", spmv_bytes);
+            if ki == 0 {
+                m.spmv_generic(&x, &mut y, &ctx)
+            } else {
+                m.spmv_par(&x, &mut y, &ctx)
+            }
+        });
+        let sweep_labels = KERNELS.map(|k| format!("blockspec/bilu_b{bs}_{k}"));
+        let t_sweep = interleaved_medians(|ki| {
+            let _g = tel.span(&sweep_labels[ki]);
+            tel.counter("bytes", sweep_bytes);
+            if ki == 0 {
+                f.solve_generic(&rhs, &mut xs, &ctx)
+            } else {
+                f.solve_par(&rhs, &mut xs, &ctx)
+            }
+        });
         for (ki, kernel) in KERNELS.iter().enumerate() {
-            let spmv_label = format!("blockspec/spmv_b{bs}_{kernel}");
-            t_spmv[ki] = time_median(7, || {
-                let _g = tel.span(&spmv_label);
-                tel.counter("bytes", spmv_bytes);
-                if ki == 0 {
-                    m.spmv_generic(&x, &mut y, &ctx)
-                } else {
-                    m.spmv_par(&x, &mut y, &ctx)
-                }
-            });
-            let sweep_label = format!("blockspec/bilu_b{bs}_{kernel}");
-            t_sweep[ki] = time_median(7, || {
-                let _g = tel.span(&sweep_label);
-                tel.counter("bytes", sweep_bytes);
-                if ki == 0 {
-                    f.solve_generic(&rhs, &mut xs, &ctx)
-                } else {
-                    f.solve_par(&rhs, &mut xs, &ctx)
-                }
-            });
             perf.push_metric(format!("spmv_b{bs}:{kernel}_s"), t_spmv[ki]);
             perf.push_metric(format!("bilu_b{bs}:{kernel}_s"), t_sweep[ki]);
             rows.push(vec![
@@ -192,6 +194,29 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
         events,
         metrics: Default::default(),
     }
+}
+
+/// Median seconds of `run(0)` (generic) and `run(1)` (fixed) over
+/// [`SAMPLES`] calls each, after one warm-up call each.  The samples
+/// alternate between the two kernels, the generic one first on even reps
+/// and the fixed one first on odd reps, so drift in the host's speed hits
+/// both kernels alike.
+fn interleaved_medians(mut run: impl FnMut(usize)) -> [f64; 2] {
+    run(0);
+    run(1);
+    let mut times = [[0.0f64; SAMPLES]; 2];
+    for rep in 0..SAMPLES {
+        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
+        for ki in order {
+            let t0 = Instant::now();
+            run(ki);
+            times[ki][rep] = t0.elapsed().as_secs_f64();
+        }
+    }
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[SAMPLES / 2]
+    })
 }
 
 #[cfg(test)]

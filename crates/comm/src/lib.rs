@@ -15,9 +15,6 @@
 //! * [`scatter`] — PETSc `VecScatter` analogue: the ghost-point exchange
 //!   pattern built from a mesh partition, executed with real data movement
 //!   and simulated-time accounting.
-//! * [`smp`] — a shared-memory thread team (the OpenMP analogue of Section
-//!   2.5 / Table 5) with the private-array + gather reduction the paper
-//!   describes.
 //! * [`ranktrace`] — per-rank distributed tracing: message ledgers, span
 //!   timelines in simulated time (one chrome-trace lane per rank), and a
 //!   critical-path walk attributing end-to-end time to compute / exchange /
@@ -26,11 +23,9 @@
 pub mod clock;
 pub mod ranktrace;
 pub mod scatter;
-pub mod smp;
 pub mod world;
 
 pub use clock::{CommCost, OverheadShares, PhaseBreakdown, SimClock};
 pub use ranktrace::{critical_path, CriticalPath, LedgerOp, MessageLedger, RankTracer};
 pub use scatter::ScatterPlan;
-pub use smp::ThreadTeam;
 pub use world::{run_world, run_world_instrumented, run_world_with, Rank, WorldOptions};

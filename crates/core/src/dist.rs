@@ -5,19 +5,26 @@
 //! row block with columns renumbered into "owned + ghost" local space, a
 //! [`ScatterPlan`] refreshing the ghosts, and an ILU factorization of its
 //! diagonal block (block-Jacobi preconditioning, the paper's baseline).
-//! Distributed GMRES then needs one ghost scatter per matvec and one
-//! allreduce per inner product — exactly the communication pattern whose
-//! scaling Table 3 dissects.  Every local operation also advances the
-//! rank's simulated clock through the machine model, so the same run yields
-//! both *real* results and *simulated* times at the paper's scales.
+//! The sequential GMRES runs over each rank's owned rows with one ghost
+//! scatter per matvec and one allreduce per inner product — exactly the
+//! communication pattern whose scaling Table 3 dissects.  Every local
+//! operation also advances the rank's simulated clock through the machine
+//! model, so the same run yields both *real* results and *simulated* times
+//! at the paper's scales.
 
 use fun3d_comm::scatter::{build_scatter_plans, ScatterPlan};
 use fun3d_comm::world::{run_world, Rank};
 use fun3d_memmodel::machine::MachineSpec;
-use fun3d_solver::gmres::{GmresOptions, GmresResult};
+use fun3d_solver::gmres::{gmres_with_inner_product, GmresOptions, GmresResult, InnerProduct};
+use fun3d_solver::op::LinearOperator;
+use fun3d_solver::precond::Preconditioner;
 use fun3d_sparse::csr::CsrMatrix;
 use fun3d_sparse::ilu::{IluFactors, IluOptions};
-use fun3d_sparse::vec_ops;
+use fun3d_sparse::par::ParCtx;
+use fun3d_sparse::vec_ops::dot_par;
+use fun3d_telemetry::events::EventSink;
+use fun3d_telemetry::Registry;
+use std::cell::{Cell, RefCell};
 
 /// A rank's slice of a row-partitioned global matrix.
 pub struct DistributedMatrix {
@@ -150,149 +157,86 @@ pub fn build_plans_for_matrix(
     build_scatter_plans(a.nrows(), owner, &edges, nranks)
 }
 
-/// Distributed dot product (deterministic allreduce). Charges the clock for
-/// the local work.
-pub fn ddot(rank: &mut Rank, x: &[f64], y: &[f64]) -> f64 {
-    let local = vec_ops::dot(x, y);
-    let n = x.len() as f64;
-    rank.clock.compute(2.0 * n, 16.0 * n, 1.0);
-    rank.allreduce_sum_scalar(local)
+/// One rank's side of a distributed block-Jacobi GMRES solve: the operator
+/// (ghost scatter + local SpMV), the preconditioner (ILU of the diagonal
+/// block) and the inner product (local partial + allreduce) that the
+/// sequential GMRES runs over.  Each piece charges the rank's simulated
+/// clock; the three share the rank, so it sits in a `RefCell`.
+struct RankKrylov<'a> {
+    rank: RefCell<&'a mut Rank>,
+    mat: &'a DistributedMatrix,
+    ilu: &'a IluFactors,
+    par: ParCtx,
+    /// Owned + ghost workspace for the matvec input.
+    ghosted: RefCell<Vec<f64>>,
+    /// Message tag of the last ghost exchange.
+    tag: Cell<u32>,
 }
 
-/// Distributed 2-norm.
-pub fn dnorm2(rank: &mut Rank, x: &[f64]) -> f64 {
-    ddot(rank, x, x).sqrt()
+impl LinearOperator for RankKrylov<'_> {
+    fn n(&self) -> usize {
+        self.mat.nowned()
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let mut full = self.ghosted.borrow_mut();
+        full[..x.len()].copy_from_slice(x);
+        self.tag.set(self.tag.get() + 1);
+        let mut rank = self.rank.borrow_mut();
+        self.mat.spmv(&mut rank, &mut full, y, self.tag.get());
+    }
 }
 
-/// Distributed, block-Jacobi/ILU-preconditioned, restarted GMRES.
+impl Preconditioner for RankKrylov<'_> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.ilu.solve_par(r, z, &self.par);
+        let nnz = self.ilu.nnz();
+        let bytes = self.ilu.value_bytes() + nnz * 4;
+        let mut rank = self.rank.borrow_mut();
+        rank.clock.compute(2.0 * nnz as f64, bytes as f64, 1.0);
+    }
+}
+
+impl InnerProduct for RankKrylov<'_> {
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        let local = dot_par(x, y, &self.par);
+        let mut rank = self.rank.borrow_mut();
+        let n = x.len() as f64;
+        rank.clock.compute(2.0 * n, 16.0 * n, 1.0);
+        rank.allreduce_sum_scalar(local)
+    }
+}
+
+/// Block-Jacobi/ILU-preconditioned, restarted GMRES on this rank's owned
+/// rows of `mat`; `x` carries the owned initial guess in and the owned
+/// solution out.
 ///
-/// `x` and `b` are the owned parts; `x` carries the initial guess in and the
-/// solution out.  The algorithm and its floating-point reduction order match
-/// the sequential [`fun3d_solver::gmres::gmres`] with an
+/// The Krylov method is [`gmres_with_inner_product`] itself, with one ghost
+/// scatter per matvec and one allreduce per inner product, so the result
+/// matches the sequential [`fun3d_solver::gmres::gmres`] with an
 /// [`fun3d_solver::precond::AdditiveSchwarz::block_jacobi`] preconditioner
-/// over the same row sets, so iteration counts agree exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn dist_gmres(
+/// over the same row sets: the iteration counts agree exactly, and on one
+/// rank the solve is bitwise the sequential one.  It opens no spans of its
+/// own: the rank's `comm/scatter` and `comm/allreduce` spans nest under
+/// whatever span the caller has open.
+pub fn block_jacobi_gmres(
     rank: &mut Rank,
     mat: &DistributedMatrix,
-    prec: &IluFactors,
+    ilu: &IluFactors,
     b: &[f64],
     x: &mut [f64],
     opts: &GmresOptions,
 ) -> GmresResult {
-    let nowned = mat.nowned();
-    assert_eq!(b.len(), nowned);
-    assert_eq!(x.len(), nowned);
-    let restart = opts.restart;
-    let norm_b = dnorm2(rank, b);
-    let target = (opts.rtol * norm_b).max(opts.atol);
-
-    let mut total_iters = 0usize;
-    let mut tag = 1000u32;
-    let mut full = vec![0.0; nowned + mat.nghosts()];
-    let mut r = vec![0.0; nowned];
-    let mut w = vec![0.0; nowned];
-    let mut z = vec![0.0; nowned];
-    let mut v: Vec<Vec<f64>> = Vec::new();
-    let mut h: Vec<Vec<f64>> = Vec::new();
-    let mut cs = vec![0.0f64; restart + 1];
-    let mut sn = vec![0.0f64; restart + 1];
-    let mut g = vec![0.0f64; restart + 1];
-
-    let prec_apply = |rank: &mut Rank, prec: &IluFactors, r: &[f64], z: &mut [f64]| {
-        prec.solve(r, z);
-        let nnz = prec.nnz() as f64;
-        rank.clock
-            .compute(2.0 * nnz, (prec.value_bytes() + prec.nnz() * 4) as f64, 1.0);
+    let side = RankKrylov {
+        rank: RefCell::new(rank),
+        mat,
+        ilu,
+        par: opts.par,
+        ghosted: RefCell::new(vec![0.0; mat.nowned() + mat.nghosts()]),
+        tag: Cell::new(1000),
     };
-
-    loop {
-        // r = b - A x.
-        full[..nowned].copy_from_slice(x);
-        tag += 1;
-        mat.spmv(rank, &mut full, &mut r, tag);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let beta = dnorm2(rank, &r);
-        if beta <= target || total_iters >= opts.max_iters {
-            return GmresResult {
-                iterations: total_iters,
-                residual_norm: beta,
-                converged: beta <= target,
-            };
-        }
-        v.clear();
-        h.clear();
-        let mut v0 = r.clone();
-        vec_ops::scale(1.0 / beta, &mut v0);
-        v.push(v0);
-        g.iter_mut().for_each(|x| *x = 0.0);
-        g[0] = beta;
-
-        let mut j = 0usize;
-        while j < restart && total_iters < opts.max_iters {
-            prec_apply(rank, prec, &v[j], &mut z);
-            full[..nowned].copy_from_slice(&z);
-            tag += 1;
-            mat.spmv(rank, &mut full, &mut w, tag);
-            total_iters += 1;
-            let mut hj = vec![0.0f64; j + 2];
-            for (i, vi) in v.iter().enumerate().take(j + 1) {
-                let hij = ddot(rank, &w, vi);
-                hj[i] = hij;
-                vec_ops::axpy(-hij, vi, &mut w);
-            }
-            let wnorm = dnorm2(rank, &w);
-            hj[j + 1] = wnorm;
-            for i in 0..j {
-                let t = cs[i] * hj[i] + sn[i] * hj[i + 1];
-                hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
-                hj[i] = t;
-            }
-            let denom = (hj[j] * hj[j] + hj[j + 1] * hj[j + 1]).sqrt();
-            if denom > 0.0 {
-                cs[j] = hj[j] / denom;
-                sn[j] = hj[j + 1] / denom;
-            } else {
-                cs[j] = 1.0;
-                sn[j] = 0.0;
-            }
-            hj[j] = cs[j] * hj[j] + sn[j] * hj[j + 1];
-            hj[j + 1] = 0.0;
-            g[j + 1] = -sn[j] * g[j];
-            g[j] *= cs[j];
-            let res_est = g[j + 1].abs();
-            h.push(hj);
-            j += 1;
-            if wnorm == 0.0 {
-                break;
-            }
-            if j < restart {
-                let mut vj = w.clone();
-                vec_ops::scale(1.0 / wnorm, &mut vj);
-                v.push(vj);
-            }
-            if res_est <= target {
-                break;
-            }
-        }
-        let k = j;
-        let mut y = vec![0.0f64; k];
-        for i in (0..k).rev() {
-            let mut s = g[i];
-            for l in (i + 1)..k {
-                s -= h[l][i] * y[l];
-            }
-            y[i] = s / h[i][i];
-        }
-        let mut update = vec![0.0; nowned];
-        for (l, yl) in y.iter().enumerate() {
-            vec_ops::axpy(*yl, &v[l], &mut update);
-        }
-        prec_apply(rank, prec, &update, &mut z);
-        vec_ops::axpy(1.0, &z, x);
-    }
+    let (tel, events) = (Registry::disabled(), EventSink::disabled());
+    gmres_with_inner_product(&side, &side, b, x, opts, &side, &tel, &events, 0)
 }
 
 /// Report from a parallel block-Jacobi solve.
@@ -326,13 +270,10 @@ pub fn parallel_block_jacobi_solve(
     let plans = build_plans_for_matrix(a, owner, nranks);
     let outputs = run_world(nranks, machine, |rank| {
         let mat = DistributedMatrix::from_plan(a, &plans[rank.id()]);
-        let diag = mat.diagonal_block();
-        let t0 = std::time::Instant::now();
-        let prec = IluFactors::factor(&diag, ilu).expect("subdomain ILU failed");
-        let _setup = t0.elapsed();
+        let prec = IluFactors::factor(&mat.diagonal_block(), ilu).expect("subdomain ILU failed");
         let bl: Vec<f64> = mat.owned_rows.iter().map(|&g| b[g]).collect();
         let mut xl = vec![0.0; mat.nowned()];
-        let result = dist_gmres(rank, &mat, &prec, &bl, &mut xl, opts);
+        let result = block_jacobi_gmres(rank, &mat, &prec, &bl, &mut xl, opts);
         (
             mat.owned_rows.clone(),
             xl,
@@ -370,7 +311,7 @@ mod tests {
     use super::*;
     use fun3d_solver::gmres::gmres;
     use fun3d_solver::op::CsrOperator;
-    use fun3d_solver::precond::AdditiveSchwarz;
+    use fun3d_solver::precond::{AdditiveSchwarz, IluPrecond};
     use fun3d_sparse::triplet::TripletMatrix;
 
     fn laplacian_2d(nx: usize) -> CsrMatrix {
@@ -477,6 +418,38 @@ mod tests {
         for (u, v) in x_seq.iter().zip(&report.x) {
             assert!((u - v).abs() < 1e-9, "{u} vs {v}");
         }
+    }
+
+    #[test]
+    fn one_rank_solve_is_bitwise_the_sequential_gmres() {
+        // One rank, no ghosts: the distributed solve is the sequential GMRES
+        // with a global ILU, down to the last bit and the iteration count
+        // (restart 5 makes it go through several restarts).
+        let a = laplacian_2d(10);
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
+        let opts = GmresOptions {
+            restart: 5,
+            rtol: 1e-10,
+            max_iters: 500,
+            ..Default::default()
+        };
+        let ilu = IluOptions::with_fill(1);
+        let pc = IluPrecond::new(IluFactors::factor(&a, &ilu).unwrap());
+        let mut x_seq = vec![0.0; n];
+        let r_seq = gmres(&CsrOperator::new(&a), &pc, &b, &mut x_seq, &opts);
+        assert!(r_seq.converged && r_seq.iterations > opts.restart);
+        let report = parallel_block_jacobi_solve(
+            &a,
+            &b,
+            &vec![0; n],
+            1,
+            &MachineSpec::asci_red(),
+            &ilu,
+            &opts,
+        );
+        assert_eq!(report.result, r_seq);
+        assert_eq!(report.x, x_seq);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! * [`driver`] — instrumented sequential runs returning per-phase times
 //!   (Table 1, Figure 5).
 //! * [`dist`] — distributed linear algebra over `fun3d-comm`: a PETSc
-//!   `MPIAIJ`-style row-partitioned matrix, ghosted vectors, distributed
-//!   GMRES with block-Jacobi/ILU preconditioning (Tables 2–3 at real small
-//!   scale, with simulated-time accounting).
-//! * [`parallel_nks`] — the fully distributed ΨNKS solve: local submeshes
-//!   with ghost layers, distributed residual/Jacobian assembly, and the
-//!   block-Jacobi NKS loop over real message-passing ranks.
+//!   `MPIAIJ`-style row-partitioned matrix, ghosted vectors, and the
+//!   sequential GMRES run over ranks with block-Jacobi/ILU preconditioning
+//!   (Tables 2–3 at real small scale, with simulated-time accounting).
+//! * [`parallel_nks`] — the fully distributed ΨNKS solve: the sequential
+//!   discretization on each rank's ghosted submesh, and the block-Jacobi
+//!   NKS loop over real message-passing ranks.
 //! * [`efficiency`] — the η_overall = η_alg · η_impl decomposition of
 //!   Table 3 and the Gflop/s / speedup metrics of Figures 1–2.
 //! * [`scaling`] — the fixed-size scaling model that extrapolates measured

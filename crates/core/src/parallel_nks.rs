@@ -2,412 +2,64 @@
 //! PETSc-FUN3D execution model.
 //!
 //! Each rank owns a subdomain of the mesh and holds one layer of ghost
-//! vertices; flux evaluation and first-order Jacobian assembly are purely
-//! local after a ghost scatter (edges crossing the interface are computed by
-//! both sides — the duplicated work the paper's Table 5 discussion notes),
-//! inner products go through allreduce, and the preconditioner is
-//! block Jacobi with ILU(k) on each rank's diagonal block.  The per-phase
-//! simulated clock runs throughout, so every solve also yields the paper's
-//! Table 3 phase decomposition at the machine model's scale.
+//! vertices.  It slices its ghosted local mesh out of the global one
+//! ([`TetMesh::ghosted_submesh`]) and runs the sequential [`Discretization`]
+//! on it: after a ghost scatter, the residual, the first-order Jacobian and
+//! the pseudo-timestep scale are exact on the owned rows (edges crossing
+//! the interface are computed by both sides — the duplicated work the
+//! paper's Table 5 discussion notes).  The linear solve is the sequential
+//! GMRES over the ranks' owned rows ([`block_jacobi_gmres`]): inner products
+//! go through allreduce, and the preconditioner is block Jacobi with ILU(k)
+//! on each rank's diagonal block.  The per-phase simulated clock runs
+//! throughout, so every solve also yields the paper's Table 3 phase
+//! decomposition at the machine model's scale.
 //!
 //! The setup here is *replicated* (every rank slices the same global mesh),
 //! which is standard practice for reproductions at laptop scale; the
 //! per-rank compute and communication paths are the real distributed ones.
 
+use crate::dist::{block_jacobi_gmres, DistributedMatrix};
 use crate::problem::EulerProblem;
 use fun3d_comm::clock::PhaseBreakdown;
 use fun3d_comm::ranktrace::MessageLedger;
 use fun3d_comm::scatter::{build_scatter_plans, ScatterPlan};
 use fun3d_comm::world::{run_world_with, Rank, WorldOptions};
-use fun3d_euler::field::FieldVec;
 use fun3d_euler::model::FlowModel;
 use fun3d_euler::residual::{Discretization, SpatialOrder};
 use fun3d_memmodel::machine::MachineSpec;
 use fun3d_mesh::tet::TetMesh;
 use fun3d_solver::gmres::GmresOptions;
+use fun3d_solver::op::PseudoTransientProblem;
 use fun3d_sparse::csr::CsrMatrix;
 use fun3d_sparse::ilu::{IluFactors, IluOptions};
 use fun3d_sparse::layout::FieldLayout;
-use fun3d_sparse::triplet::TripletMatrix;
 use fun3d_telemetry::events::{EventRecord, EventStream};
 use fun3d_telemetry::Snapshot;
 
-use crate::dist::{dist_gmres, DistributedMatrix};
-
-/// One rank's static view of the problem: owned + ghost vertices, the local
-/// edge/face lists needed for owned residual rows, and the scatter plan.
-pub struct LocalSubdomain {
-    /// Global indices: owned first (ascending), then ghosts (plan order).
-    pub verts: Vec<usize>,
-    /// Number of owned vertices.
-    pub nowned: usize,
-    /// Vertex-level ghost-exchange plan.
-    pub plan: ScatterPlan,
-    /// Local edges `[a, b]` (local vertex indices) with at least one owned
-    /// endpoint, plus their dual-face normals.
-    edges: Vec<[u32; 2]>,
-    edge_normals: Vec<[f64; 3]>,
-    /// Local boundary faces (local vertex indices; ghost slots allowed) and
-    /// their kinds/normals.
-    faces: Vec<(fun3d_mesh::tet::BoundaryKind, [u32; 3], [f64; 3])>,
-    /// Dual volumes of owned vertices.
-    volumes: Vec<f64>,
-    /// Ownership mask over local indices (true = owned).
-    is_owned: Vec<bool>,
+/// The Euler problem on one rank's ghosted submesh, first order and
+/// interlaced like the sequential reference.
+fn local_problem(submesh: &TetMesh, model: FlowModel) -> EulerProblem<'_> {
+    EulerProblem::new(Discretization::new(
+        submesh,
+        model,
+        FieldLayout::Interlaced,
+        SpatialOrder::First,
+    ))
 }
 
-impl LocalSubdomain {
-    /// Slice rank `me`'s subdomain out of the global mesh.
-    pub fn build(mesh: &TetMesh, owner: &[u32], nranks: usize, me: usize) -> Self {
-        let plans = build_scatter_plans(mesh.nverts(), owner, mesh.edges(), nranks);
-        Self::from_plan(mesh, owner, &plans[me], me)
-    }
-
-    /// Build from a precomputed `(owned, ghosts, plan)` triple.
-    pub fn from_plan(
-        mesh: &TetMesh,
-        owner: &[u32],
-        triple: &(Vec<usize>, Vec<usize>, ScatterPlan),
-        me: usize,
-    ) -> Self {
-        let (owned, ghosts, plan) = triple;
-        let nowned = owned.len();
-        let mut verts = owned.clone();
-        verts.extend_from_slice(ghosts);
-        let mut global_to_local = vec![u32::MAX; mesh.nverts()];
-        for (l, &g) in verts.iter().enumerate() {
-            global_to_local[g] = l as u32;
-        }
-        let mut edges = Vec::new();
-        let mut edge_normals = Vec::new();
-        for (e, &[a, b]) in mesh.edges().iter().enumerate() {
-            let (oa, ob) = (owner[a as usize] as usize, owner[b as usize] as usize);
-            if oa == me || ob == me {
-                let la = global_to_local[a as usize];
-                let lb = global_to_local[b as usize];
-                debug_assert!(la != u32::MAX && lb != u32::MAX, "ghost layer too thin");
-                edges.push([la, lb]);
-                edge_normals.push(mesh.edge_normals()[e]);
-            }
-        }
-        let mut faces = Vec::new();
-        for f in mesh.boundary_faces() {
-            let any_owned = f.verts.iter().any(|&v| owner[v as usize] as usize == me);
-            if any_owned {
-                // All three vertices are local (they are within one edge of
-                // an owned vertex).
-                let tri = [
-                    global_to_local[f.verts[0] as usize],
-                    global_to_local[f.verts[1] as usize],
-                    global_to_local[f.verts[2] as usize],
-                ];
-                debug_assert!(tri.iter().all(|&v| v != u32::MAX));
-                faces.push((f.kind, tri, f.normal));
-            }
-        }
-        let volumes = owned.iter().map(|&g| mesh.dual_volumes()[g]).collect();
-        let mut is_owned = vec![false; verts.len()];
-        for o in is_owned.iter_mut().take(nowned) {
-            *o = true;
-        }
-        Self {
-            verts,
-            nowned,
-            plan: plan.clone(),
-            edges,
-            edge_normals,
-            faces,
-            volumes,
-            is_owned,
-        }
-    }
-
-    /// Local vertex count (owned + ghosts).
-    pub fn nlocal(&self) -> usize {
-        self.verts.len()
-    }
-
-    /// Evaluate the first-order residual at *owned* vertices.  `q` holds
-    /// `nlocal * ncomp` interlaced values with ghosts current; `res` gets
-    /// `nowned * ncomp`.  Charges the simulated clock for the flux work.
-    pub fn residual(
-        &self,
-        model: &FlowModel,
-        q: &[f64],
-        res: &mut [f64],
-        rank: &mut Rank,
-        freestream: &fun3d_euler::model::Comp,
-    ) {
-        let ncomp = model.ncomp();
-        assert_eq!(q.len(), self.nlocal() * ncomp);
-        assert_eq!(res.len(), self.nowned * ncomp);
-        res.iter_mut().for_each(|v| *v = 0.0);
-        let get = |v: usize| -> fun3d_euler::model::Comp {
-            let mut s = [0.0; fun3d_euler::model::MAX_COMP];
-            s[..ncomp].copy_from_slice(&q[v * ncomp..(v + 1) * ncomp]);
-            s
-        };
-        for (e, &[a, b]) in self.edges.iter().enumerate() {
-            let (a, b) = (a as usize, b as usize);
-            let n = self.edge_normals[e];
-            let qa = get(a);
-            let qb = get(b);
-            let f = rusanov(model, &qa, &qb, n);
-            if self.is_owned[a] {
-                for c in 0..ncomp {
-                    res[a * ncomp + c] += f[c];
-                }
-            }
-            if self.is_owned[b] {
-                for c in 0..ncomp {
-                    res[b * ncomp + c] -= f[c];
-                }
-            }
-        }
-        for (kind, tri, normal) in &self.faces {
-            let n3 = [normal[0] / 3.0, normal[1] / 3.0, normal[2] / 3.0];
-            for &v in tri {
-                let v = v as usize;
-                if !self.is_owned[v] {
-                    continue;
-                }
-                let qv = get(v);
-                let f = boundary_flux(model, *kind, &qv, n3, freestream);
-                for c in 0..ncomp {
-                    res[v * ncomp + c] += f[c];
-                }
-            }
-        }
-        // Simulated cost of the local flux work.
-        let flops = 110.0 * self.edges.len() as f64 * ncomp as f64 / 4.0;
-        let bytes = (32 + 4 * ncomp * 8) as f64 * self.edges.len() as f64;
-        rank.clock.compute(flops, bytes, 0.25);
-    }
-
-    /// Assemble the shifted first-order Jacobian rows for owned unknowns as
-    /// an `nowned*ncomp x nlocal*ncomp` CSR in local indexing.
-    pub fn jacobian(
-        &self,
-        model: &FlowModel,
-        q: &[f64],
-        inv_dt: &[f64],
-        rank: &mut Rank,
-        freestream: &fun3d_euler::model::Comp,
-    ) -> CsrMatrix {
-        use fun3d_euler::model::MAX_COMP;
-        let ncomp = model.ncomp();
-        let n_rows = self.nowned * ncomp;
-        let n_cols = self.nlocal() * ncomp;
-        let mut t =
-            TripletMatrix::with_capacity(n_rows, n_cols, self.edges.len() * 2 * ncomp * ncomp);
-        let get = |v: usize| -> fun3d_euler::model::Comp {
-            let mut s = [0.0; MAX_COMP];
-            s[..ncomp].copy_from_slice(&q[v * ncomp..(v + 1) * ncomp]);
-            s
-        };
-        let push_block =
-            |t: &mut TripletMatrix, vi: usize, vj: usize, sign: f64, a: &[f64], lam: f64| {
-                for r in 0..ncomp {
-                    for c in 0..ncomp {
-                        let mut val = 0.5 * a[r * MAX_COMP + c];
-                        if r == c {
-                            val += 0.5 * lam;
-                        }
-                        t.push(vi * ncomp + r, vj * ncomp + c, sign * val);
-                    }
-                }
-            };
-        for (e, &[a, b]) in self.edges.iter().enumerate() {
-            let (a, b) = (a as usize, b as usize);
-            let n = self.edge_normals[e];
-            let qa = get(a);
-            let qb = get(b);
-            let lam = model.max_wavespeed(&qa, n).max(model.max_wavespeed(&qb, n));
-            let ja = model.flux_jacobian(&qa, n);
-            let jb = model.flux_jacobian(&qb, n);
-            if self.is_owned[a] {
-                push_block(&mut t, a, a, 1.0, &ja, lam);
-                push_block(&mut t, a, b, 1.0, &jb, -lam);
-            }
-            if self.is_owned[b] {
-                push_block(&mut t, b, a, -1.0, &ja, lam);
-                push_block(&mut t, b, b, -1.0, &jb, -lam);
-            }
-        }
-        for (kind, tri, normal) in &self.faces {
-            let n3 = [normal[0] / 3.0, normal[1] / 3.0, normal[2] / 3.0];
-            for &v in tri {
-                let v = v as usize;
-                if !self.is_owned[v] {
-                    continue;
-                }
-                let qv = get(v);
-                boundary_jacobian_into(model, *kind, &qv, n3, freestream, v, ncomp, &mut t);
-            }
-        }
-        // Pseudo-time diagonal and structural diagonal.
-        for v in 0..self.nowned {
-            for c in 0..ncomp {
-                t.push(v * ncomp + c, v * ncomp + c, inv_dt[v * ncomp + c]);
-            }
-        }
-        let jac = t.to_csr();
-        let flops = 250.0 * self.edges.len() as f64 * (ncomp * ncomp) as f64 / 16.0;
-        rank.clock.compute(flops, 12.0 * jac.nnz() as f64, 0.5);
-        jac
-    }
-
-    /// Per-owned-unknown `V/dtau` at CFL = 1 (wave-speed sums over the
-    /// edges/faces incident to owned vertices).
-    pub fn inverse_timestep_scale(&self, model: &FlowModel, q: &[f64]) -> Vec<f64> {
-        let ncomp = model.ncomp();
-        let mut sums = vec![0.0; self.nowned];
-        let get = |v: usize| -> fun3d_euler::model::Comp {
-            let mut s = [0.0; fun3d_euler::model::MAX_COMP];
-            s[..ncomp].copy_from_slice(&q[v * ncomp..(v + 1) * ncomp]);
-            s
-        };
-        for (e, &[a, b]) in self.edges.iter().enumerate() {
-            let n = self.edge_normals[e];
-            let lam = model
-                .max_wavespeed(&get(a as usize), n)
-                .max(model.max_wavespeed(&get(b as usize), n));
-            if self.is_owned[a as usize] {
-                sums[a as usize] += lam;
-            }
-            if self.is_owned[b as usize] {
-                sums[b as usize] += lam;
-            }
-        }
-        for (_, tri, normal) in &self.faces {
-            let n3 = [normal[0] / 3.0, normal[1] / 3.0, normal[2] / 3.0];
-            for &v in tri {
-                let v = v as usize;
-                if self.is_owned[v] {
-                    sums[v] += model.max_wavespeed(&get(v), n3);
-                }
-            }
-        }
-        let mut out = vec![0.0; self.nowned * ncomp];
-        for v in 0..self.nowned {
-            for c in 0..ncomp {
-                out[v * ncomp + c] = sums[v];
-            }
-        }
-        let _ = &self.volumes; // volumes cancel in V/(CFL V / lam) = lam/CFL
-        out
-    }
-}
-
-#[inline]
-fn rusanov(
-    model: &FlowModel,
-    ql: &fun3d_euler::model::Comp,
-    qr: &fun3d_euler::model::Comp,
-    n: [f64; 3],
-) -> fun3d_euler::model::Comp {
-    let ncomp = model.ncomp();
-    let fl = model.flux(ql, n);
-    let fr = model.flux(qr, n);
-    let lam = model.max_wavespeed(ql, n).max(model.max_wavespeed(qr, n));
-    let mut f = [0.0; fun3d_euler::model::MAX_COMP];
-    for c in 0..ncomp {
-        f[c] = 0.5 * (fl[c] + fr[c]) - 0.5 * lam * (qr[c] - ql[c]);
-    }
-    f
-}
-
-#[inline]
-fn boundary_flux(
-    model: &FlowModel,
-    kind: fun3d_mesh::tet::BoundaryKind,
-    q: &fun3d_euler::model::Comp,
-    n: [f64; 3],
-    freestream: &fun3d_euler::model::Comp,
-) -> fun3d_euler::model::Comp {
-    use fun3d_mesh::tet::BoundaryKind;
-    match kind {
-        BoundaryKind::Wall => {
-            let p = model.pressure(q);
-            let mut f = [0.0; fun3d_euler::model::MAX_COMP];
-            f[1] = p * n[0];
-            f[2] = p * n[1];
-            f[3] = p * n[2];
-            f
-        }
-        BoundaryKind::Inflow => rusanov(model, q, freestream, n),
-        BoundaryKind::Outflow => model.flux(q, n),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn boundary_jacobian_into(
-    model: &FlowModel,
-    kind: fun3d_mesh::tet::BoundaryKind,
-    q: &fun3d_euler::model::Comp,
-    n3: [f64; 3],
-    freestream: &fun3d_euler::model::Comp,
-    v: usize,
-    ncomp: usize,
-    t: &mut TripletMatrix,
-) {
-    use fun3d_euler::model::MAX_COMP;
-    use fun3d_mesh::tet::BoundaryKind;
-    match kind {
-        BoundaryKind::Wall => {
-            let dp = pressure_gradient(model, q);
-            for r in 1..4usize {
-                for c in 0..ncomp {
-                    t.push(v * ncomp + r, v * ncomp + c, n3[r - 1] * dp[c]);
-                }
-            }
-        }
-        BoundaryKind::Inflow => {
-            let lam = model
-                .max_wavespeed(q, n3)
-                .max(model.max_wavespeed(freestream, n3));
-            let a = model.flux_jacobian(q, n3);
-            for r in 0..ncomp {
-                for c in 0..ncomp {
-                    let mut val = 0.5 * a[r * MAX_COMP + c];
-                    if r == c {
-                        val += 0.5 * lam;
-                    }
-                    t.push(v * ncomp + r, v * ncomp + c, val);
-                }
-            }
-        }
-        BoundaryKind::Outflow => {
-            let a = model.flux_jacobian(q, n3);
-            for r in 0..ncomp {
-                for c in 0..ncomp {
-                    t.push(v * ncomp + r, v * ncomp + c, a[r * MAX_COMP + c]);
-                }
-            }
-        }
-    }
-}
-
-fn pressure_gradient(model: &FlowModel, q: &fun3d_euler::model::Comp) -> fun3d_euler::model::Comp {
-    match *model {
-        FlowModel::Incompressible { .. } => {
-            let mut d = [0.0; fun3d_euler::model::MAX_COMP];
-            d[0] = 1.0;
-            d
-        }
-        FlowModel::Compressible { gamma } => {
-            let g1 = gamma - 1.0;
-            let rho = q[0];
-            let (u, v, w) = (q[1] / rho, q[2] / rho, q[3] / rho);
-            [
-                0.5 * g1 * (u * u + v * v + w * w),
-                -g1 * u,
-                -g1 * v,
-                -g1 * w,
-                g1,
-            ]
-        }
-    }
+/// The owned rows (the first `nowned_unknowns`) of the local Jacobian at
+/// `q`, with the pseudo-time diagonal `d / cfl` added as in the sequential
+/// driver.
+fn owned_shifted_jacobian(
+    problem: &EulerProblem,
+    q: &[f64],
+    d: &[f64],
+    cfl: f64,
+    nowned_unknowns: usize,
+) -> CsrMatrix {
+    let mut jac = problem.jacobian(q);
+    jac.shift_diagonal_by(1.0 / cfl, d);
+    jac.into_leading_rows(nowned_unknowns)
 }
 
 /// Options for the parallel NKS solve (a subset of the sequential options —
@@ -511,7 +163,6 @@ pub fn solve_parallel_nks(
 ) -> ParallelNksReport {
     let ncomp = model.ncomp();
     let plans = build_scatter_plans(mesh.nverts(), owner, mesh.edges(), nranks);
-    let freestream = model.freestream();
 
     let world_opts = WorldOptions {
         instrument: true,
@@ -521,27 +172,35 @@ pub fn solve_parallel_nks(
         let me = rank.id();
         let tel = rank.telemetry.clone();
         let solve_span = tel.span("nks");
-        let sub = LocalSubdomain::from_plan(mesh, owner, &plans[me], me);
-        let nowned = sub.nowned;
-        let nloc = sub.nlocal();
-        // Local state with ghosts, interlaced.
-        let mut q = vec![0.0; nloc * ncomp];
-        for v in 0..nloc {
-            q[v * ncomp..(v + 1) * ncomp].copy_from_slice(&freestream[..ncomp]);
-        }
-        let mut res = vec![0.0; nowned * ncomp];
+        let (owned, ghosts, plan) = &plans[me];
+        let nowned = owned.len();
+        let n_own = nowned * ncomp;
+        let verts: Vec<usize> = owned.iter().chain(ghosts).copied().collect();
+        let submesh = mesh.ghosted_submesh(&verts, nowned);
+        let problem = local_problem(&submesh, model);
+        let disc = problem.discretization();
+        // Local state with ghosts, interlaced; the residual covers every
+        // local vertex, but only its owned rows are complete.
+        let mut q = problem.initial_state();
+        let mut res = vec![0.0; q.len()];
         let mut tag = 0u32;
         let scatter = |rank: &mut Rank, q: &mut Vec<f64>, tag: &mut u32| {
             *tag += 1;
-            sub.plan.execute(rank, q, nowned, ncomp, *tag);
+            plan.execute(rank, q, nowned, ncomp, *tag);
+        };
+        let residual = |rank: &mut Rank, q: &[f64], res: &mut [f64]| {
+            let _g = tel.span("flux");
+            problem.residual(q, res);
+            rank.clock
+                .compute(disc.residual_flops(), disc.residual_bytes(), 0.25);
+        };
+        let owned_norm = |rank: &mut Rank, res: &[f64]| {
+            let local: f64 = res[..n_own].iter().map(|v| v * v).sum();
+            rank.allreduce_sum_scalar(local).sqrt()
         };
         scatter(rank, &mut q, &mut tag);
-        {
-            let _g = tel.span("flux");
-            sub.residual(&model, &q, &mut res, rank, &freestream);
-        }
-        let norm_local: f64 = res.iter().map(|v| v * v).sum();
-        let r0 = rank.allreduce_sum_scalar(norm_local).sqrt();
+        residual(rank, &q, &mut res);
+        let r0 = owned_norm(rank, &res);
         let mut rnorm = r0;
         let mut history = vec![r0];
         let mut lin_iters = Vec::new();
@@ -554,34 +213,33 @@ pub fn solve_parallel_nks(
                 break;
             }
             let cfl = (opts.cfl0 * (r0 / rnorm).powf(opts.cfl_exponent)).min(opts.cfl_max);
-            let d = sub.inverse_timestep_scale(&model, &q);
-            let shift: Vec<f64> = d.iter().map(|&v| v / cfl).collect();
+            let d = problem.inverse_timestep_scale(&q);
             let jac_local = {
                 let _g = tel.span("jacobian");
-                sub.jacobian(&model, &q, &shift, rank, &freestream)
+                let jac = owned_shifted_jacobian(&problem, &q, &d, cfl, n_own);
+                let flops = 250.0 * submesh.nedges() as f64 * (ncomp * ncomp) as f64 / 16.0;
+                rank.clock.compute(flops, 12.0 * jac.nnz() as f64, 0.5);
+                jac
             };
             // Wire into the distributed-matrix machinery: unknown-level plan.
             let mat = DistributedMatrix {
-                // Unknown-level bookkeeping: dist_gmres sizes itself from
-                // these lists, so they must count unknowns, not vertices.
-                owned_rows: (0..nowned * ncomp).collect(),
-                ghost_cols: (0..(nloc - nowned) * ncomp).collect(),
+                // Unknown-level bookkeeping: the Krylov solve sizes itself
+                // from these lists, so they must count unknowns, not vertices.
+                owned_rows: (0..n_own).collect(),
+                ghost_cols: (n_own..q.len()).collect(),
                 local: jac_local,
-                plan: expand_plan(&sub.plan, ncomp),
+                plan: expand_plan(plan, ncomp),
             };
             let prec = {
                 let _g = tel.span("ilu");
                 let diag = mat.diagonal_block();
                 IluFactors::factor(&diag, &opts.ilu).expect("subdomain ILU failed")
             };
-            let mut rhs = vec![0.0; nowned * ncomp];
-            for (o, r) in rhs.iter_mut().zip(&res) {
-                *o = -r;
-            }
-            let mut delta = vec![0.0; nowned * ncomp];
+            let rhs: Vec<f64> = res[..n_own].iter().map(|r| -r).collect();
+            let mut delta = vec![0.0; n_own];
             let lin = {
                 let _g = tel.span("gmres");
-                dist_gmres(rank, &mat, &prec, &rhs, &mut delta, &opts.krylov)
+                block_jacobi_gmres(rank, &mat, &prec, &rhs, &mut delta, &opts.krylov)
             };
             tel.counter("linear_iters", lin.iterations as f64);
             lin_iters.push(lin.iterations);
@@ -590,21 +248,17 @@ pub fn solve_parallel_nks(
             // if no short step helps (the timestep is the real globalizer).
             // Every rank sees identical (allreduced) norms, so all ranks
             // take the same branch.
-            let q_base = q[..nowned * ncomp].to_vec();
+            let q_base = q[..n_own].to_vec();
             let mut alpha = 1.0f64;
             let mut full_norm = f64::INFINITY;
             let mut accepted = false;
             for k in 0..4 {
-                for i in 0..nowned * ncomp {
+                for i in 0..n_own {
                     q[i] = q_base[i] + alpha * delta[i];
                 }
                 scatter(rank, &mut q, &mut tag);
-                {
-                    let _g = tel.span("flux");
-                    sub.residual(&model, &q, &mut res, rank, &freestream);
-                }
-                let norm_local: f64 = res.iter().map(|v| v * v).sum();
-                let tnorm = rank.allreduce_sum_scalar(norm_local).sqrt();
+                residual(rank, &q, &mut res);
+                let tnorm = owned_norm(rank, &res);
                 if k == 0 {
                     full_norm = tnorm;
                 }
@@ -617,16 +271,12 @@ pub fn solve_parallel_nks(
             }
             if !accepted {
                 // Full step anyway (mirrors the sequential fallback).
-                for i in 0..nowned * ncomp {
+                for i in 0..n_own {
                     q[i] = q_base[i] + delta[i];
                 }
                 scatter(rank, &mut q, &mut tag);
-                {
-                    let _g = tel.span("flux");
-                    sub.residual(&model, &q, &mut res, rank, &freestream);
-                }
-                let norm_local: f64 = res.iter().map(|v| v * v).sum();
-                let check = rank.allreduce_sum_scalar(norm_local).sqrt();
+                residual(rank, &q, &mut res);
+                let check = owned_norm(rank, &res);
                 debug_assert!((check - full_norm).abs() <= 1e-9 * full_norm.max(1.0));
                 rnorm = full_norm;
             }
@@ -646,8 +296,8 @@ pub fn solve_parallel_nks(
         let ledger = std::mem::take(&mut rank.ledger);
         drop(solve_span);
         (
-            sub.verts[..nowned].to_vec(),
-            q[..nowned * ncomp].to_vec(),
+            owned.clone(),
+            q[..n_own].to_vec(),
             history,
             lin_iters,
             converged,
@@ -794,20 +444,10 @@ pub fn sequential_reference(
     (q, its, h.converged)
 }
 
-/// A `FieldVec` view of a parallel solution for diagnostics.
-pub fn solution_field(mesh: &TetMesh, model: &FlowModel, solution: Vec<f64>) -> FieldVec {
-    FieldVec::from_vec(
-        solution,
-        mesh.nverts(),
-        model.ncomp(),
-        FieldLayout::Interlaced,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fun3d_comm::world::run_world;
+    use fun3d_euler::field::FieldVec;
     use fun3d_mesh::generator::BumpChannelSpec;
     use fun3d_partition::partition_kway;
 
@@ -817,49 +457,119 @@ mod tests {
         (mesh, part.part)
     }
 
+    /// A smooth perturbation of the freestream, so every flux and Jacobian
+    /// block is state dependent.
+    fn perturbed_state(mesh: &TetMesh, disc: &Discretization) -> FieldVec {
+        let mut q = disc.initial_state();
+        for v in 0..mesh.nverts() {
+            let mut s = q.get(v);
+            let x = mesh.coords()[v];
+            for c in 0..disc.ncomp() {
+                s[c] += 0.02 * ((c + 1) as f64) * (x[0] - 0.3 * x[2]).sin();
+            }
+            q.set(v, &s);
+        }
+        q
+    }
+
+    /// Each rank's local vertices (owned, then ghosts) and owned count.
+    fn local_vertices(mesh: &TetMesh, owner: &[u32], nranks: usize) -> Vec<(Vec<usize>, usize)> {
+        build_scatter_plans(mesh.nverts(), owner, mesh.edges(), nranks)
+            .into_iter()
+            .map(|(owned, ghosts, _)| {
+                let nowned = owned.len();
+                (owned.into_iter().chain(ghosts).collect(), nowned)
+            })
+            .collect()
+    }
+
+    /// `q` restricted to the local vertices `verts`.
+    fn gather(q: &FieldVec, verts: &[usize]) -> Vec<f64> {
+        verts
+            .iter()
+            .flat_map(|&g| q.get(g)[..q.ncomp()].to_vec())
+            .collect()
+    }
+
     #[test]
     fn local_residual_matches_global() {
+        // An owned vertex sees the same edges in the same order on its
+        // submesh, and a flipped edge yields exactly -F, so the owned rows
+        // are bitwise the global ones.
         let nranks = 3;
         let (mesh, owner) = setup((7, 5, 5), nranks);
         let model = FlowModel::incompressible();
-        let ncomp = 4;
-        // Global reference at a perturbed state.
+        let ncomp = model.ncomp();
         let disc = Discretization::new(&mesh, model, FieldLayout::Interlaced, SpatialOrder::First);
-        let mut qg = disc.initial_state();
-        for v in 0..mesh.nverts() {
-            let mut s = qg.get(v);
-            let x = mesh.coords()[v];
-            for c in 0..ncomp {
-                s[c] += 0.02 * ((c + 1) as f64) * (x[0] - 0.3 * x[2]).sin();
-            }
-            qg.set(v, &s);
-        }
+        let qg = perturbed_state(&mesh, &disc);
         let mut rg = FieldVec::zeros(mesh.nverts(), ncomp, FieldLayout::Interlaced);
-        let mut ws = disc.workspace();
-        disc.residual(&qg, &mut rg, &mut ws);
+        disc.residual(&qg, &mut rg, &mut disc.workspace());
 
-        let plans = build_scatter_plans(mesh.nverts(), &owner, mesh.edges(), nranks);
-        let freestream = model.freestream();
-        let outs = run_world(nranks, &MachineSpec::asci_red(), |rank| {
-            let sub = LocalSubdomain::from_plan(&mesh, &owner, &plans[rank.id()], rank.id());
-            let mut q = vec![0.0; sub.nlocal() * ncomp];
-            for (l, &g) in sub.verts.iter().enumerate() {
-                let s = qg.get(g);
-                q[l * ncomp..(l + 1) * ncomp].copy_from_slice(&s[..ncomp]);
+        for (verts, nowned) in local_vertices(&mesh, &owner, nranks) {
+            let submesh = mesh.ghosted_submesh(&verts, nowned);
+            let problem = local_problem(&submesh, model);
+            let q = gather(&qg, &verts);
+            let mut res = vec![0.0; q.len()];
+            problem.residual(&q, &mut res);
+            for (l, &g) in verts[..nowned].iter().enumerate() {
+                assert_eq!(
+                    res[l * ncomp..(l + 1) * ncomp],
+                    rg.get(g)[..ncomp],
+                    "vertex {g}"
+                );
             }
-            let mut res = vec![0.0; sub.nowned * ncomp];
-            sub.residual(&model, &q, &mut res, rank, &freestream);
-            (sub.verts[..sub.nowned].to_vec(), res)
-        });
-        for (verts, res) in outs {
-            for (l, &g) in verts.iter().enumerate() {
-                let want = rg.get(g);
-                for c in 0..ncomp {
+        }
+    }
+
+    #[test]
+    fn local_shifted_jacobian_matches_global_rows() {
+        let nranks = 3;
+        let (mesh, owner) = setup((7, 5, 5), nranks);
+        let model = FlowModel::compressible();
+        let ncomp = model.ncomp();
+        let cfl = 7.5;
+        let disc = Discretization::new(&mesh, model, FieldLayout::Interlaced, SpatialOrder::First);
+        let qg = perturbed_state(&mesh, &disc);
+        let global = EulerProblem::new(disc);
+        let jg = {
+            let q = qg.as_slice();
+            let mut jac = global.jacobian(q);
+            jac.shift_diagonal_by(1.0 / cfl, &global.inverse_timestep_scale(q));
+            jac
+        };
+
+        for (verts, nowned) in local_vertices(&mesh, &owner, nranks) {
+            let submesh = mesh.ghosted_submesh(&verts, nowned);
+            let problem = local_problem(&submesh, model);
+            let q = gather(&qg, &verts);
+            let d = problem.inverse_timestep_scale(&q);
+            let jl = owned_shifted_jacobian(&problem, &q, &d, cfl, nowned * ncomp);
+            assert_eq!(jl.nrows(), nowned * ncomp);
+            for row in 0..jl.nrows() {
+                let grow = verts[row / ncomp] * ncomp + row % ncomp;
+                let mut local: Vec<(usize, f64)> = jl
+                    .row_cols(row)
+                    .iter()
+                    .zip(jl.row_vals(row))
+                    .map(|(&c, &v)| {
+                        let c = c as usize;
+                        (verts[c / ncomp] * ncomp + c % ncomp, v)
+                    })
+                    .collect();
+                local.sort_by_key(|&(c, _)| c);
+                let want: Vec<(usize, f64)> = jg
+                    .row_cols(grow)
+                    .iter()
+                    .zip(jg.row_vals(grow))
+                    .map(|(&c, &v)| (c as usize, v))
+                    .collect();
+                assert_eq!(local.len(), want.len(), "row {grow}");
+                let scale = want.iter().fold(0.0f64, |m, &(_, v)| m.max(v.abs()));
+                for (&(lc, lv), &(gc, gv)) in local.iter().zip(&want) {
+                    assert_eq!(lc, gc, "row {grow}");
                     assert!(
-                        (res[l * ncomp + c] - want[c]).abs() < 1e-11,
-                        "vertex {g} comp {c}: {} vs {}",
-                        res[l * ncomp + c],
-                        want[c]
+                        (lv - gv).abs() <= 1e-13 * scale,
+                        "row {grow} col {gc}: {lv} vs {gv}"
                     );
                 }
             }

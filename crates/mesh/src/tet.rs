@@ -374,6 +374,76 @@ impl TetMesh {
         }
     }
 
+    /// Slice one subdomain's ghosted local mesh out of this (global) mesh.
+    ///
+    /// `verts` lists the global vertices of the submesh — the `nowned` owned
+    /// ones first, then the ghosts — and local vertex `l` is global
+    /// `verts[l]`.  The ghosts must include every neighbor of an owned
+    /// vertex.  The submesh keeps the edges with at least one owned
+    /// endpoint (in global order, with their dual normals), the boundary
+    /// faces and tetrahedra with at least one owned vertex, and the
+    /// coordinates and dual volumes.  An edge whose endpoints come out of
+    /// the local numbering in reverse order is flipped and its normal
+    /// negated, as in [`Self::renumber_vertices`], so `lo < hi` still holds.
+    ///
+    /// Every owned vertex sees the same edges and faces, in the same order,
+    /// as in the global mesh, so an edge-based residual evaluated on the
+    /// submesh is exact on the owned rows; ghost rows are partial sums.
+    pub fn ghosted_submesh(&self, verts: &[usize], nowned: usize) -> TetMesh {
+        assert!(nowned <= verts.len());
+        let mut local = vec![u32::MAX; self.nverts()];
+        for (l, &g) in verts.iter().enumerate() {
+            local[g] = l as u32;
+        }
+        let owned = |g: u32| (local[g as usize] as usize) < nowned;
+        let to_local = |g: u32| {
+            let l = local[g as usize];
+            assert!(
+                l != u32::MAX,
+                "vertex {g} is next to an owned vertex but not ghosted"
+            );
+            l
+        };
+        let mut edges = Vec::new();
+        let mut edge_normals = Vec::new();
+        for (&[a, b], &nrm) in self.edges.iter().zip(&self.edge_normals) {
+            if !(owned(a) || owned(b)) {
+                continue;
+            }
+            let (la, lb) = (to_local(a), to_local(b));
+            if la < lb {
+                edges.push([la, lb]);
+                edge_normals.push(nrm);
+            } else {
+                edges.push([lb, la]);
+                edge_normals.push(scaled(nrm, -1.0));
+            }
+        }
+        let tets = self
+            .tets
+            .iter()
+            .filter(|t| t.iter().any(|&v| owned(v)))
+            .map(|t| t.map(to_local))
+            .collect();
+        let boundary_faces = self
+            .boundary_faces
+            .iter()
+            .filter(|f| f.verts.iter().any(|&v| owned(v)))
+            .map(|f| BoundaryFace {
+                verts: f.verts.map(to_local),
+                ..*f
+            })
+            .collect();
+        TetMesh {
+            coords: verts.iter().map(|&g| self.coords[g]).collect(),
+            tets,
+            edges,
+            edge_normals,
+            dual_volumes: verts.iter().map(|&g| self.dual_volumes[g]).collect(),
+            boundary_faces,
+        }
+    }
+
     /// Replace the edge *ordering* (not the vertex numbering): `order[k]`
     /// gives the index into the current edge list of the edge that should
     /// come `k`-th. Used to apply edge reorderings / colorings.
@@ -518,6 +588,67 @@ mod tests {
         for &[a, b] in r.edges() {
             assert!(a < b);
         }
+    }
+
+    #[test]
+    fn ghosted_submesh_keeps_owned_stencils() {
+        // Own vertex 6 of the cube, which becomes local vertex 0; its
+        // neighbors 0, 2, 4, 7 are the ghosts, so the edges to the
+        // lower-numbered ghosts 0, 2 and 4 come out reversed.
+        let m = unit_cube();
+        let verts = [6usize, 7, 4, 2, 0];
+        let s = m.ghosted_submesh(&verts, 1);
+        assert_eq!(s.nverts(), 5);
+        for (l, &g) in verts.iter().enumerate() {
+            assert_eq!(s.coords()[l], m.coords()[g]);
+            assert_eq!(s.dual_volumes()[l], m.dual_volumes()[g]);
+        }
+        // Only the edges at vertex 6, in global order.
+        let global: Vec<usize> = (0..m.nedges())
+            .filter(|&e| m.edges()[e].contains(&6))
+            .collect();
+        assert_eq!(s.nedges(), global.len());
+        for (k, &e) in global.iter().enumerate() {
+            let [lo, hi] = s.edges()[k];
+            assert!(lo < hi);
+            let (glo, ghi) = (verts[lo as usize] as u32, verts[hi as usize] as u32);
+            let n = m.edge_normals()[e];
+            if glo < ghi {
+                assert_eq!(m.edges()[e], [glo, ghi]);
+                assert_eq!(s.edge_normals()[k], n);
+            } else {
+                // Reversed by the local numbering: flipped, normal negated.
+                assert_eq!(m.edges()[e], [ghi, glo]);
+                assert_eq!(s.edge_normals()[k], scaled(n, -1.0));
+            }
+        }
+        let flipped = s
+            .edges()
+            .iter()
+            .filter(|&&[lo, hi]| verts[lo as usize] > verts[hi as usize])
+            .count();
+        assert_eq!(flipped, 3, "edges 0-6, 2-6 and 4-6 flip; 6-7 does not");
+        // The faces and tets touching vertex 6, and the owned control
+        // surface still closes.
+        let faces = m.boundary_faces().iter().filter(|f| f.verts.contains(&6));
+        assert_eq!(s.boundary_faces().len(), faces.count());
+        assert_eq!(
+            s.ntets(),
+            m.tets().iter().filter(|t| t.contains(&6)).count()
+        );
+        let mut acc = [0.0; 3];
+        for (&[a, b], &n) in s.edges().iter().zip(s.edge_normals()) {
+            if a == 0 {
+                acc = add3(acc, n);
+            } else if b == 0 {
+                acc = sub(acc, n);
+            }
+        }
+        for f in s.boundary_faces() {
+            assert!(f.verts.contains(&0));
+            acc = add3(acc, scaled(f.normal, 1.0 / 3.0));
+        }
+        assert!(dot(acc, acc).sqrt() < 1e-12, "{acc:?}");
     }
 
     #[test]

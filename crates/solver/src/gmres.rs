@@ -10,9 +10,29 @@
 use crate::op::LinearOperator;
 use crate::precond::Preconditioner;
 use fun3d_sparse::par::ParCtx;
-use fun3d_sparse::vec_ops::{axpy_par, dot_par, norm2_par};
+use fun3d_sparse::vec_ops::{axpy_par, dot_par};
 use fun3d_telemetry::events::{EventRecord, EventSink};
 use fun3d_telemetry::Registry;
+
+/// The global inner product GMRES orthogonalizes with.  Everything else in
+/// the Arnoldi loop (axpys, scalings, the small least-squares problem) is
+/// local, so this is the one hook a distributed solve needs: a rank takes
+/// its local partial and allreduces it.  [`ParCtx`] is the shared-memory
+/// implementation: the ordered-partials [`dot_par`].
+pub trait InnerProduct {
+    /// `x . y` over the whole (possibly distributed) vector.
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64;
+    /// `||x||_2`.
+    fn norm2(&self, x: &[f64]) -> f64 {
+        self.dot(x, x).sqrt()
+    }
+}
+
+impl InnerProduct for ParCtx {
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        dot_par(x, y, self)
+    }
+}
 
 /// Options for a GMRES solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +118,29 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
     events: &EventSink,
     newton_step: u64,
 ) -> GmresResult {
+    gmres_with_inner_product(a, m, b, x, opts, &opts.par, tel, events, newton_step)
+}
+
+/// [`gmres_with_events`] with the inner products taken by `ip` — the entry
+/// point of a distributed solve, where `a`, `m`, `b` and `x` hold one rank's
+/// owned rows and `ip` allreduces.  `opts.par` still drives the local
+/// vector updates.
+#[allow(clippy::too_many_arguments)]
+pub fn gmres_with_inner_product<
+    A: LinearOperator + ?Sized,
+    M: Preconditioner + ?Sized,
+    I: InnerProduct + ?Sized,
+>(
+    a: &A,
+    m: &M,
+    b: &[f64],
+    x: &mut [f64],
+    opts: &GmresOptions,
+    ip: &I,
+    tel: &Registry,
+    events: &EventSink,
+    newton_step: u64,
+) -> GmresResult {
     let _gmres_span = tel.span("gmres");
     // Analytic per-apply traffic, when the operator/preconditioner know it:
     // attached as a `bytes` counter on each apply/precond span so profiled
@@ -110,7 +153,7 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
     assert!(opts.restart >= 1);
     let restart = opts.restart;
     let par = &opts.par;
-    let norm_b = norm2_par(b, par);
+    let norm_b = ip.norm2(b);
     let target = (opts.rtol * norm_b).max(opts.atol);
 
     let mut total_iters = 0usize;
@@ -138,7 +181,7 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
         for (ri, bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        let beta = norm2_par(&r, par);
+        let beta = ip.norm2(&r);
         if beta <= target || total_iters >= opts.max_iters {
             return GmresResult {
                 iterations: total_iters,
@@ -178,11 +221,11 @@ pub fn gmres_with_events<A: LinearOperator + ?Sized, M: Preconditioner + ?Sized>
             let _orth = tel.span("orth");
             let mut hj = vec![0.0f64; j + 2];
             for (i, vi) in v.iter().enumerate().take(j + 1) {
-                let hij = dot_par(&w, vi, par);
+                let hij = ip.dot(&w, vi);
                 hj[i] = hij;
                 axpy_par(-hij, vi, &mut w, par);
             }
-            let wnorm = norm2_par(&w, par);
+            let wnorm = ip.norm2(&w);
             hj[j + 1] = wnorm;
             // Apply existing Givens rotations to the new column.
             for i in 0..j {

@@ -271,6 +271,18 @@ impl CsrMatrix {
         CsrMatrix::from_raw(self.ncols, self.nrows, counts, col_idx, values)
     }
 
+    /// Keep only the first `nrows` rows (all columns), e.g. a subdomain's
+    /// owned rows of a matrix assembled over its ghosted local mesh.
+    pub fn into_leading_rows(mut self, nrows: usize) -> CsrMatrix {
+        assert!(nrows <= self.nrows);
+        let nnz = self.row_ptr[nrows];
+        self.row_ptr.truncate(nrows + 1);
+        self.col_idx.truncate(nnz);
+        self.values.truncate(nnz);
+        self.nrows = nrows;
+        self
+    }
+
     /// Extract the principal submatrix on `rows` (same index set for columns),
     /// renumbering to local indices. Used to build subdomain (Schwarz) blocks.
     /// `rows` need not be sorted; local ordering follows `rows` order.
@@ -455,6 +467,18 @@ mod tests {
         assert_eq!(a.get(0, 0), 4.0);
         assert_eq!(a.get(1, 1), 23.0);
         assert_eq!(a.get(2, 2), 205.0);
+    }
+
+    #[test]
+    fn leading_rows_keep_rows_and_columns() {
+        let a = small();
+        let top = a.clone().into_leading_rows(2);
+        assert_eq!((top.nrows(), top.ncols()), (2, 3));
+        for i in 0..2 {
+            assert_eq!(top.row_cols(i), a.row_cols(i));
+            assert_eq!(top.row_vals(i), a.row_vals(i));
+        }
+        assert_eq!(top.nnz(), a.row_ptr()[2]);
     }
 
     #[test]
