@@ -129,6 +129,17 @@ grep -q "spmv_csr" "$smoke_dir/profile.log"
 grep -q "Parallel regions (2 threads)" "$smoke_dir/show-prof.log"
 ! grep -q "Parallel regions" "$smoke_dir/show.log"
 
+# Usage errors exit 2 with the flag list instead of panicking: `--help` is
+# not a shared flag, so it takes the unknown-argument path.
+help_rc=0
+./target/release/table1 --help > /dev/null 2> "$smoke_dir/help.log" || help_rc=$?
+[ "$help_rc" -eq 2 ] \
+    || { echo "ci: table1 --help exited $help_rc, expected 2"; exit 1; }
+if grep -q "panicked" "$smoke_dir/help.log"; then
+    echo "ci: table1 --help panicked"; exit 1
+fi
+grep -q "usage: table1" "$smoke_dir/help.log"
+
 # Kernel identity leg: the Newton solve must be deterministic on the
 # sequential sweeps (--threads 1) and on the level-scheduled sweeps
 # (--threads 2) — two runs of each must give bit-identical residual

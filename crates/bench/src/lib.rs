@@ -81,7 +81,7 @@ pub struct BenchArgs {
     /// Shared flags that appeared more than once on the command line, in
     /// first-repeat order.  A repeated value flag (`--threads 2 --threads 4`)
     /// used to silently last-win; callers reject these via
-    /// [`BenchArgs::reject_duplicates`] so the mistake is named instead.
+    /// [`BenchArgs::duplicate_error`] so the mistake is named instead.
     pub duplicates: Vec<String>,
 }
 
@@ -130,29 +130,48 @@ impl BenchArgs {
     }
 
     /// Parse from `std::env::args` for the experiment named `suite`: the
-    /// shared flags of [`BenchArgs::parse_known`] (`--scale <f>`, `--full`,
-    /// `--steps <n>`, `--reps <n>`, `--suite <name>`, `--quiet`,
-    /// `--json <path>`, `--trace <path>`, `--events <path>`,
-    /// `--threads <n>`, `--profile`, `--ranks <n>`, `--trace-ranks`,
-    /// `--metrics`, `--metrics-out <path>`).
-    /// Panics on unknown flags, naming the suite.
+    /// shared flags of [`BenchArgs::parse_known`].  On an unknown or
+    /// repeated flag (`--help` included) prints the error and the flag list
+    /// to stderr and exits 2.
     pub fn parse_for(suite: &str, default_scale: f64) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let (out, rest) = Self::parse_known(default_scale, &argv);
-        Self::reject_leftovers(suite, &rest);
-        out.reject_duplicates(suite);
+        if let Some(msg) = Self::leftover_error(suite, &rest).or_else(|| out.duplicate_error(suite))
+        {
+            eprintln!("{msg}");
+            eprintln!("usage: {suite} [{}]", Self::FLAGS.join(" | "));
+            std::process::exit(2);
+        }
         out.arm_blackbox();
         out
     }
 
-    /// Panic on the first unrecognized argument, naming the suite so the
-    /// message says *which* experiment rejected the flag.
-    pub fn reject_leftovers(suite: &str, rest: &[String]) {
-        if let Some(other) = rest.first() {
-            panic!(
-                "unknown argument: {other} (suite {suite}; expected --scale/--full/--steps/--reps/--suite/--quiet/--json/--trace/--events/--threads/--profile/--ranks/--trace-ranks/--metrics/--metrics-out/--blackbox)"
-            );
-        }
+    /// The shared flags [`BenchArgs::parse_known`] recognizes.
+    const FLAGS: [&'static str; 16] = [
+        "--scale <f>",
+        "--full",
+        "--steps <n>",
+        "--reps <n>",
+        "--suite <name>",
+        "--quiet",
+        "--json <path>",
+        "--trace <path>",
+        "--events <path>",
+        "--threads <n>",
+        "--profile",
+        "--ranks <n>",
+        "--trace-ranks",
+        "--metrics",
+        "--metrics-out <path>",
+        "--blackbox <path>",
+    ];
+
+    /// The error message for the first unrecognized argument, naming the
+    /// suite so it says *which* experiment rejected the flag — `None` when
+    /// every argument was recognized.
+    pub fn leftover_error(suite: &str, rest: &[String]) -> Option<String> {
+        rest.first()
+            .map(|other| format!("unknown argument: {other} (suite {suite})"))
     }
 
     /// The error message for a repeated shared flag, naming the suite —
@@ -163,37 +182,11 @@ impl BenchArgs {
         })
     }
 
-    /// Panic when a shared flag was repeated, naming the suite — repeated
-    /// value flags would otherwise silently last-win.
-    pub fn reject_duplicates(&self, suite: &str) {
-        if let Some(msg) = self.duplicate_error(suite) {
-            panic!("{msg}");
-        }
-    }
-
     /// Parse the shared flags out of `argv`, returning the parsed options
     /// and the arguments that were not recognized (in order).  This is the
     /// single flag-parsing helper: the per-table binaries reject leftovers,
     /// the `fun3d-bench` driver layers its own flags on top of them.
     pub fn parse_known(default_scale: f64, argv: &[String]) -> (Self, Vec<String>) {
-        const KNOWN: [&str; 16] = [
-            "--scale",
-            "--full",
-            "--steps",
-            "--reps",
-            "--suite",
-            "--quiet",
-            "--json",
-            "--trace",
-            "--events",
-            "--threads",
-            "--profile",
-            "--ranks",
-            "--trace-ranks",
-            "--metrics",
-            "--metrics-out",
-            "--blackbox",
-        ];
         let mut out = Self::defaults(default_scale);
         let mut rest = Vec::new();
         let mut seen: Vec<&str> = Vec::new();
@@ -203,8 +196,9 @@ impl BenchArgs {
         };
         let mut i = 0;
         while i < argv.len() {
-            if let Some(flag) = KNOWN.iter().find(|f| **f == argv[i]) {
-                if seen.contains(flag) && !out.duplicates.iter().any(|d| d == flag) {
+            let mut known = Self::FLAGS.iter().map(|f| f.split(' ').next().unwrap());
+            if let Some(flag) = known.find(|f| *f == argv[i]) {
+                if seen.contains(&flag) && !out.duplicates.iter().any(|d| d == flag) {
                     out.duplicates.push(flag.to_string());
                 }
                 seen.push(flag);
@@ -747,19 +741,6 @@ mod tests {
         assert_eq!(args.duplicates, vec!["--threads".to_string()]);
         let msg = args.duplicate_error("serve").expect("duplicate reported");
         assert!(msg.contains("--threads") && msg.contains("serve"), "{msg}");
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let err = std::panic::catch_unwind(|| args.reject_duplicates("serve"))
-            .expect_err("repeated flag must be rejected");
-        std::panic::set_hook(prev);
-        let panic_msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
-        assert!(
-            panic_msg.contains("--threads") && panic_msg.contains("serve"),
-            "{panic_msg}"
-        );
         // Boolean flags repeat-checked too; singles stay clean.
         let argv: Vec<String> = ["--quiet", "--quiet"]
             .iter()
@@ -778,27 +759,19 @@ mod tests {
 
     #[test]
     fn every_experiment_rejects_typoed_flags_by_suite_name() {
-        // Every binary funnels through `parse_for(name, ..)`, which calls
-        // `reject_leftovers`; the panic must name the suite and the flag so
-        // a typo in a 17-binary sweep is attributable from the message.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        // Every binary funnels through `parse_for(name, ..)`, which exits 2
+        // on `leftover_error`; the message must name the suite and the flag
+        // so a typo in a 17-binary sweep is attributable from the message.
         for e in crate::runners::all() {
             let name = e.name();
-            let err = std::panic::catch_unwind(|| {
-                BenchArgs::reject_leftovers(name, &["--typo".to_string()]);
-            })
-            .expect_err("typo'd flag must be rejected");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()).unwrap());
+            let msg = BenchArgs::leftover_error(name, &["--typo".to_string()])
+                .expect("typo'd flag must be rejected");
             assert!(
                 msg.contains(name) && msg.contains("--typo"),
                 "suite {name}: {msg}"
             );
+            assert!(BenchArgs::leftover_error(name, &[]).is_none());
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The paper benchmarks one solve at a time; this experiment measures the
 //! serving layer built over the same stack: a worker pool pulling
 //! same-family batches from a bounded, admission-controlled queue, with
-//! mesh / ordering / partition / symbolic-ILU state shared from an
-//! `Arc`-cache.  It calibrates the warm per-solve service time, then drives
-//! the engine open-loop (arrivals on a fixed clock, independent of
-//! completions) at a geometric sweep of offered rates from well below to
-//! well above the calibrated capacity, and reports per rate: achieved
+//! mesh / ordering / partition state shared from an `Arc`-cache.  It
+//! calibrates the warm per-solve service time, then drives the engine
+//! open-loop (arrivals on a fixed clock, independent of completions) at a
+//! geometric sweep of offered rates from well below to well above the
+//! calibrated capacity, and reports per rate: achieved
 //! throughput, p50/p95/p99 latency from the telemetry histograms, and
 //! rejected arrivals.  The saturation knee — the first offered rate the
 //! engine stops tracking — is detected and summarized.

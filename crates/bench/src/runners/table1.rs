@@ -40,7 +40,7 @@ pub fn run(args: &BenchArgs) -> RunOutcome {
     let spec = args.family_spec(MeshFamily::Small);
     say!(
         args,
-        "Table 1 regenerator: {} vertices (paper: 22,677; scale {:.2}), {} measured steps per cell",
+        "Table 1 regenerator: {} vertices (paper: 22,677; scale {:.2}), {} steps per cell, the first excluded as setup",
         spec.nverts(),
         args.scale,
         args.steps

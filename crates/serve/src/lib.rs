@@ -7,11 +7,11 @@
 //! * [`scenario`] — [`ScenarioClass`] (mesh family + physics + layout), its
 //!   bit-exact [`FamilyKey`], and the request/response types.
 //! * [`state`] — [`FamilyState`]: the immutable per-family state (ordered
-//!   mesh, vertex-graph partition, symbolic ILU(k) and BCSR structure
-//!   templates) split out of the solve path and shared behind an `Arc`.
+//!   mesh and vertex-graph partition) split out of the solve path and
+//!   shared behind an `Arc`.  The symbolic ILU(k) and BCSR setup is per
+//!   solve: each solve runs it on its first step and refactors after that.
 //!   [`state::direct_solve`] is the uncached reference path; cached solves
-//!   are **bitwise identical** to it (the templates only skip symbolic
-//!   setup — numerics rerun in full, pinned by tests).
+//!   are **bitwise identical** to it (pinned by tests).
 //! * [`cache`] — [`StateCache`]: bounded LRU over family states with
 //!   build-once semantics under concurrency (per-entry `OnceLock`).
 //! * [`queue`] — [`JobQueue`] *(crate-internal)* plus the public

@@ -3,9 +3,8 @@
 //! A **scenario class** is everything that determines the immutable
 //! per-family solver state: the mesh generator spec, the flow model, the
 //! data-layout enhancements, and the spatial order.  Two requests in the
-//! same class share a mesh, its orderings, a partition, and the symbolic
-//! ILU / BCSR structure; only the ΨNKS tunables (CFL law, tolerances,
-//! Krylov options) vary per request.
+//! same class share a mesh, its orderings and a partition; only the ΨNKS
+//! tunables (CFL law, tolerances, Krylov options) vary per request.
 
 use fun3d_core::config::{CaseConfig, LayoutConfig};
 use fun3d_euler::model::FlowModel;

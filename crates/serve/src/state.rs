@@ -1,13 +1,12 @@
 //! Immutable per-family solver state, shared across concurrent solves.
 //!
 //! Everything a solve needs that depends only on the [`ScenarioClass`] —
-//! the generated mesh with its orderings applied, a k-way partition of the
-//! vertex graph, and the symbolic ILU(k) / BCSR structure templates — is
-//! built once per family and shared behind an `Arc`.  A warm solve then
-//! pays only the marginal cost: discretization assembly, numeric
-//! refactorization, and the Krylov iterations.  Results are bitwise
-//! identical to the uncached path (the templates are pattern-only; see
-//! [`fun3d_solver::pseudo::WarmStart`]).
+//! the generated mesh with its orderings applied and a k-way partition of
+//! the vertex graph — is built once per family and shared behind an `Arc`.
+//! A warm solve then skips mesh generation, reordering and partitioning;
+//! the symbolic ILU(k) and BCSR setup belongs to the solve itself, which
+//! runs it once on its first step and refactors after that.  Results are
+//! bitwise identical to the uncached path.
 
 use crate::scenario::{FamilyKey, ScenarioClass};
 use fun3d_core::config::apply_orderings;
@@ -15,28 +14,14 @@ use fun3d_core::problem::EulerProblem;
 use fun3d_euler::residual::Discretization;
 use fun3d_mesh::tet::TetMesh;
 use fun3d_partition::partition_kway;
-use fun3d_solver::op::PseudoTransientProblem;
 use fun3d_solver::pseudo::{
-    solve_pseudo_transient_warm, PrecondSpec, PseudoTransientOptions, SolveHistory, WarmStart,
+    solve_pseudo_transient_with_events, PseudoTransientOptions, SolveHistory,
 };
-use fun3d_sparse::bcsr::BcsrMatrix;
-use fun3d_sparse::csr::CsrMatrix;
-use fun3d_sparse::ilu::{IluFactors, IluOptions, PrecStorage};
 use fun3d_telemetry::events::EventSink;
 use fun3d_telemetry::Registry;
-use std::sync::{Arc, Mutex};
 
 /// Seed for the family partition (deterministic across builds).
 const PARTITION_SEED: u64 = 0x5e7e_5e7e;
-
-/// Structure templates built lazily per (options) and shared thereafter.
-#[derive(Default)]
-struct Templates {
-    /// ILU(k) symbolic templates keyed by (fill level, storage).
-    ilu: Vec<((usize, PrecStorage), Arc<IluFactors>)>,
-    /// BCSR block-structure templates keyed by block size.
-    bcsr: Vec<(usize, Arc<BcsrMatrix>)>,
-}
 
 /// The shared immutable state of one scenario family.
 pub struct FamilyState {
@@ -46,7 +31,6 @@ pub struct FamilyState {
     /// Disjoint owned-vertex sets from a k-way partition of the vertex
     /// graph — reusable by Schwarz-preconditioned requests.
     subdomains: Vec<Vec<usize>>,
-    templates: Mutex<Templates>,
     build_time_s: f64,
 }
 
@@ -79,7 +63,6 @@ impl FamilyState {
             scenario: scenario.clone(),
             mesh,
             subdomains,
-            templates: Mutex::new(Templates::default()),
             build_time_s: t0.elapsed().as_secs_f64(),
         }
     }
@@ -119,80 +102,9 @@ impl FamilyState {
         self.build_time_s
     }
 
-    /// A representative shifted first-order Jacobian: the pattern every
-    /// step matrix of this family shares.  The diagonal shift mirrors the
-    /// solver's pseudo-timestep term so the numeric factorization the
-    /// template build runs cannot hit spurious zero pivots.
-    fn representative_jacobian(&self, cfl: f64) -> CsrMatrix {
-        let disc = Discretization::new(
-            &self.mesh,
-            self.scenario.model,
-            self.scenario.layout.field_layout(),
-            self.scenario.order,
-        );
-        let problem = EulerProblem::new(disc);
-        let q = problem.initial_state();
-        let mut jac = problem.jacobian(&q);
-        let d = problem.inverse_timestep_scale(&q);
-        jac.shift_diagonal_by(1.0 / cfl.max(1e-6), &d);
-        jac
-    }
-
-    /// The ILU(k) symbolic template for `opts`, built on first use.  Holding
-    /// the lock across the build serializes first-touch per family but
-    /// guarantees every caller gets the same `Arc` with no duplicate work.
-    fn ilu_template(&self, opts: &IluOptions, cfl: f64) -> Option<Arc<IluFactors>> {
-        let k = (opts.fill_level, opts.storage);
-        let mut g = self.templates.lock().unwrap();
-        if let Some((_, t)) = g.ilu.iter().find(|(key, _)| *key == k) {
-            return Some(t.clone());
-        }
-        let jac = self.representative_jacobian(cfl);
-        let t = Arc::new(IluFactors::factor(&jac, opts).ok()?);
-        g.ilu.push((k, t.clone()));
-        Some(t)
-    }
-
-    /// The BCSR block-structure template for block size `b`.
-    fn bcsr_template(&self, b: usize, cfl: f64) -> Option<Arc<BcsrMatrix>> {
-        let mut g = self.templates.lock().unwrap();
-        if let Some((_, t)) = g.bcsr.iter().find(|(key, _)| *key == b) {
-            return Some(t.clone());
-        }
-        if !self.nunknowns().is_multiple_of(b) {
-            return None;
-        }
-        let jac = self.representative_jacobian(cfl);
-        let t = Arc::new(BcsrMatrix::from_csr(&jac, b));
-        g.bcsr.push((b, t.clone()));
-        Some(t)
-    }
-
-    /// Assemble the [`WarmStart`] for a request's solver options: the ILU
-    /// template when the request uses a global ILU preconditioner, and the
-    /// BCSR template when the layout calls for structural blocking.
-    pub fn warm_start(&self, nks: &PseudoTransientOptions) -> WarmStart {
-        let mut warm = WarmStart::none();
-        if let PrecondSpec::Ilu(ilu) = &nks.precond {
-            warm.ilu = self.ilu_template(ilu, nks.cfl0);
-        }
-        if !nks.matrix_free {
-            if let Some(b) = nks.bcsr_block {
-                warm.bcsr = self.bcsr_template(b, nks.cfl0);
-            }
-        }
-        warm
-    }
-
-    /// Number of structure templates currently held (for tests/metrics).
-    pub fn template_count(&self) -> usize {
-        let g = self.templates.lock().unwrap();
-        g.ilu.len() + g.bcsr.len()
-    }
-
     /// Run one solve against this family's shared state.  Identical in
     /// result to [`direct_solve`] on the same scenario and options, but the
-    /// mesh build, orderings, partition, and symbolic setup are all reused.
+    /// mesh build, orderings and partition are reused.
     pub fn solve(
         &self,
         nks: &PseudoTransientOptions,
@@ -201,7 +113,6 @@ impl FamilyState {
     ) -> (SolveHistory, Vec<f64>) {
         let mut nks = nks.clone();
         nks.bcsr_block = self.scenario.bcsr_block();
-        let warm = self.warm_start(&nks);
         let disc = Discretization::new(
             &self.mesh,
             self.scenario.model,
@@ -210,7 +121,7 @@ impl FamilyState {
         );
         let mut problem = EulerProblem::new(disc);
         let mut q = problem.initial_state();
-        let history = solve_pseudo_transient_warm(&mut problem, &mut q, &nks, tel, events, &warm);
+        let history = solve_pseudo_transient_with_events(&mut problem, &mut q, &nks, tel, events);
         (history, q)
     }
 }
@@ -237,13 +148,12 @@ pub fn direct_solve(
     );
     let mut problem = EulerProblem::new(disc);
     let mut q = problem.initial_state();
-    let history = solve_pseudo_transient_warm(
+    let history = solve_pseudo_transient_with_events(
         &mut problem,
         &mut q,
         &nks,
         &Registry::disabled(),
         &EventSink::disabled(),
-        &WarmStart::none(),
     );
     (history, q)
 }
@@ -267,12 +177,9 @@ mod tests {
             assert_eq!(a.residual_norm, b.residual_norm);
             assert_eq!(a.linear_iters, b.linear_iters);
         }
-        // Repeat solves reuse the same templates and stay identical.
-        assert!(state.template_count() >= 1);
-        let before = state.template_count();
+        // Repeat solves on the shared state stay identical.
         let (_, qc2) = state.solve(&nks, &Registry::disabled(), &EventSink::disabled());
         assert_eq!(qd, qc2);
-        assert_eq!(state.template_count(), before, "no template rebuild");
     }
 
     #[test]

@@ -52,7 +52,7 @@ proptest! {
         );
         let (hd, qd) = direct_solve(&sc, &nks);
         let state = FamilyState::build(&sc, 2);
-        // Two cached solves: the second reuses the templates the first built.
+        // Two cached solves on one shared state: both match the direct path.
         for _ in 0..2 {
             let (hc, qc) = state.solve(&nks, &Registry::disabled(), &EventSink::disabled());
             prop_assert_eq!(&qc, &qd);

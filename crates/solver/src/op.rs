@@ -64,6 +64,12 @@ pub trait PseudoTransientProblem {
     fn residual(&self, q: &[f64], out: &mut [f64]);
 
     /// Assemble the first-order analytic Jacobian `dR/dq` at `q`.
+    ///
+    /// The sparsity pattern must not depend on `q` (store explicit zeros
+    /// rather than dropping them): the ΨNKS loop builds its BCSR and its
+    /// symbolic ILU once per solve and only refills and refactors them
+    /// while the nnz stays the same.  A Jacobian whose nnz changes makes
+    /// that step rebuild from scratch.
     fn jacobian(&self, q: &[f64]) -> CsrMatrix;
 
     /// Per-unknown `V_i / dtau_i` at `CFL = 1`; the ΨNKS driver divides by
@@ -148,6 +154,11 @@ pub(crate) mod test_problems {
         pub n: usize,
         pub alpha: f64,
         pub f: Vec<f64>,
+        /// Jacobian assemblies so far.
+        pub jacobians: std::cell::Cell<usize>,
+        /// Assemblies after this many gain an entry at `(0, n - 1)`, so
+        /// the pattern changes mid-solve.
+        pub grow_pattern_after: Option<usize>,
     }
 
     impl Bratu1d {
@@ -160,6 +171,8 @@ pub(crate) mod test_problems {
                 n,
                 alpha,
                 f: vec![0.0; n],
+                jacobians: std::cell::Cell::new(0),
+                grow_pattern_after: None,
             };
             let mut r = vec![0.0; n];
             me.residual_raw(&qstar, &mut r);
@@ -206,6 +219,13 @@ pub(crate) mod test_problems {
                 if i + 1 < n {
                     t.push(i, i + 1, -1.0);
                 }
+            }
+            self.jacobians.set(self.jacobians.get() + 1);
+            if self
+                .grow_pattern_after
+                .is_some_and(|k| self.jacobians.get() > k)
+            {
+                t.push(0, n - 1, 1e-3);
             }
             t.to_csr()
         }

@@ -55,6 +55,12 @@ impl IluPrecond {
         Ok(Self::new(IluFactors::factor(a, opts)?))
     }
 
+    /// Refactor on `a`, which must have the pattern the factors were built
+    /// from; bitwise identical to a fresh [`IluPrecond::factor`] of `a`.
+    pub fn refactor(&mut self, a: &CsrMatrix) -> Result<(), IluError> {
+        self.factors.refactor(a)
+    }
+
     /// Apply with level-scheduled parallel triangular solves on this team
     /// (bitwise identical to the sequential sweep).
     pub fn with_par(mut self, par: ParCtx) -> Self {
@@ -86,18 +92,12 @@ pub struct BlockIluPrecond {
 }
 
 impl BlockIluPrecond {
-    /// Factor the BCSR form of `a` with block size `b`.
-    pub fn factor(a: &CsrMatrix, b: usize) -> Result<Self, IluError> {
-        let ab = BcsrMatrix::from_csr(a, b);
-        Ok(Self::new(BlockIluFactors::factor(&ab)?))
-    }
-
-    /// Wrap existing factors.
-    pub fn new(factors: BlockIluFactors) -> Self {
-        Self {
-            factors,
+    /// Factor the blocked matrix `a`.
+    pub fn factor(a: &BcsrMatrix) -> Result<Self, IluError> {
+        Ok(Self {
+            factors: BlockIluFactors::factor(a)?,
             par: ParCtx::seq(),
-        }
+        })
     }
 
     /// Apply with level-scheduled parallel triangular solves on this team
@@ -487,6 +487,25 @@ mod tests {
         pc1.apply(&r, &mut z);
         for (u, v) in z.iter().zip(&z_scaled) {
             assert!((u - 4.0 * v).abs() < 1e-10);
+        }
+        // Refactoring on new values with the same pattern is bitwise a
+        // fresh build, with and without overlap, restricted and classic.
+        let mut a3 = a.clone();
+        for (k, v) in a3.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 0.01 * (k % 7) as f64;
+        }
+        let opts = IluOptions::with_fill(0);
+        for overlap in [0usize, 1] {
+            for restricted in [true, false] {
+                let mut pc = AdditiveSchwarz::new(&a, &owned, overlap, &opts, restricted).unwrap();
+                pc.refactor(&a3).unwrap();
+                let fresh = AdditiveSchwarz::new(&a3, &owned, overlap, &opts, restricted).unwrap();
+                let mut zr = vec![0.0; n];
+                let mut zf = vec![0.0; n];
+                pc.apply(&r, &mut zr);
+                fresh.apply(&r, &mut zf);
+                assert_eq!(zr, zf, "overlap {overlap}, restricted {restricted}");
+            }
         }
     }
 

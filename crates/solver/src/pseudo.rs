@@ -19,11 +19,12 @@ use crate::health::{Anomaly, AnomalyKind, HealthConfig, HealthMonitor};
 use crate::op::{CsrOperator, FdJacobianOperator, PseudoTransientProblem};
 use crate::precond::{AdditiveSchwarz, BlockIluPrecond, IluPrecond, Preconditioner};
 use fun3d_sparse::bcsr::BcsrMatrix;
-use fun3d_sparse::ilu::{IluFactors, IluOptions};
+use fun3d_sparse::csr::CsrMatrix;
+use fun3d_sparse::ilu::{IluError, IluOptions};
+use fun3d_sparse::par::ParCtx;
 use fun3d_sparse::vec_ops::norm2;
 use fun3d_telemetry::events::{EventRecord, EventSink};
 use fun3d_telemetry::Registry;
-use std::sync::Arc;
 
 /// Which preconditioner the Krylov solver uses.
 #[derive(Debug, Clone)]
@@ -135,9 +136,10 @@ impl Default for PseudoTransientOptions {
 pub struct PhaseTimes {
     /// Residual (flux) evaluations, including line-search trials.
     pub residual: f64,
-    /// Jacobian assembly and diagonal shifting.
+    /// Jacobian assembly, diagonal shifting and the BCSR refill.
     pub jacobian: f64,
-    /// Preconditioner construction (ILU factorization / Schwarz setup).
+    /// Preconditioner construction (ILU factorization or refactorization /
+    /// Schwarz setup).
     pub precond: f64,
     /// Krylov (GMRES) solve time.
     pub krylov: f64,
@@ -167,7 +169,8 @@ pub struct StepRecord {
     pub step_length: f64,
     /// Wall time in residual evaluations this step (seconds).
     pub t_residual: f64,
-    /// Wall time assembling the Jacobian (seconds).
+    /// Wall time assembling and shifting the Jacobian and refilling the
+    /// BCSR (seconds).
     pub t_jacobian: f64,
     /// Wall time building the preconditioner (seconds).
     pub t_precond: f64,
@@ -242,7 +245,7 @@ impl SolveHistory {
 /// BCSR matvec operator for the structural-blocking variant.
 struct BcsrOperator<'a> {
     a: &'a BcsrMatrix,
-    par: fun3d_sparse::par::ParCtx,
+    par: ParCtx,
 }
 
 impl crate::op::LinearOperator for BcsrOperator<'_> {
@@ -261,6 +264,52 @@ enum BuiltPrecond {
     Schwarz(AdditiveSchwarz),
 }
 
+impl BuiltPrecond {
+    /// Refactor `cached` in place on the new matrix (same pattern), or build
+    /// `spec` from scratch when nothing is cached.  Block ILU factors the
+    /// solve's BCSR either way.
+    fn refresh(
+        cached: Option<Self>,
+        spec: &PrecondSpec,
+        jac: &CsrMatrix,
+        bcsr: Option<&BcsrMatrix>,
+        par: ParCtx,
+    ) -> Result<Self, IluError> {
+        Ok(match (cached, spec) {
+            (Some(BuiltPrecond::Ilu(mut p)), _) => {
+                p.refactor(jac)?;
+                BuiltPrecond::Ilu(p)
+            }
+            (Some(BuiltPrecond::Schwarz(mut p)), _) => {
+                p.refactor(jac)?;
+                BuiltPrecond::Schwarz(p)
+            }
+            (_, PrecondSpec::Ilu(ilu)) => {
+                BuiltPrecond::Ilu(Box::new(IluPrecond::factor(jac, ilu)?.with_par(par)))
+            }
+            (_, PrecondSpec::BlockIlu { .. }) => {
+                let a = bcsr.expect("block ILU factors the solve's BCSR");
+                BuiltPrecond::BlockIlu(Box::new(BlockIluPrecond::factor(a)?.with_par(par)))
+            }
+            (
+                _,
+                PrecondSpec::Schwarz {
+                    owned_sets,
+                    overlap,
+                    ilu,
+                    restricted,
+                },
+            ) => BuiltPrecond::Schwarz(AdditiveSchwarz::new(
+                jac,
+                owned_sets,
+                *overlap,
+                ilu,
+                *restricted,
+            )?),
+        })
+    }
+}
+
 impl Preconditioner for BuiltPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         match self {
@@ -276,40 +325,6 @@ impl Preconditioner for BuiltPrecond {
             BuiltPrecond::BlockIlu(p) => p.traffic_bytes(),
             BuiltPrecond::Schwarz(p) => p.traffic_bytes(),
         }
-    }
-}
-
-/// Immutable warm-start templates shared across solves of the same scenario
-/// family (same mesh adjacency, ordering, physics, and layout — i.e. the same
-/// Jacobian *pattern*).
-///
-/// Both templates are pattern-only accelerators: the ILU template skips the
-/// symbolic `ILU(k)` analysis and level scheduling (numerics are redone with
-/// [`IluFactors::refactor`], which runs the identical elimination as a fresh
-/// factorization), and the BCSR template skips the block-structure merge
-/// (values are rewritten in full by `refill_from_csr`).  A warm solve is
-/// therefore **bitwise identical** to a cold one; templates that do not match
-/// the problem (dimension, fill level, storage, block size, nnz) are ignored
-/// rather than trusted.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    /// Symbolic `ILU(k)` template for [`PrecondSpec::Ilu`]; cloned and
-    /// numerically refactored against each step's shifted Jacobian.
-    pub ilu: Option<Arc<IluFactors>>,
-    /// Block-structure template for the [`PseudoTransientOptions::bcsr_block`]
-    /// operator; cloned once and refilled from the point CSR each step.
-    pub bcsr: Option<Arc<BcsrMatrix>>,
-}
-
-impl WarmStart {
-    /// No templates: every solve pays full symbolic setup (the cold path).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Whether any template is present.
-    pub fn is_empty(&self) -> bool {
-        self.ilu.is_none() && self.bcsr.is_none()
     }
 }
 
@@ -341,6 +356,12 @@ pub fn solve_pseudo_transient_instrumented<P: PseudoTransientProblem>(
 /// [`StepRecord`] pushed into the history, plus the step's linear forcing
 /// tolerance η) and per-iteration [`EventRecord::KrylovIter`] records from
 /// the inner GMRES solves into `events`.
+///
+/// The symbolic setup runs once per solve: the first step builds the BCSR
+/// copy of the Jacobian (for the blocked operator and the block ILU) and the
+/// preconditioner, and later steps refill the BCSR and refactor the
+/// preconditioner on the same pattern.  A Jacobian whose nnz differs from
+/// the recorded one drops both, and that step rebuilds from scratch.
 pub fn solve_pseudo_transient_with_events<P: PseudoTransientProblem>(
     problem: &mut P,
     q: &mut [f64],
@@ -348,22 +369,19 @@ pub fn solve_pseudo_transient_with_events<P: PseudoTransientProblem>(
     tel: &Registry,
     events: &EventSink,
 ) -> SolveHistory {
-    solve_pseudo_transient_warm(problem, q, opts, tel, events, &WarmStart::none())
-}
-
-/// [`solve_pseudo_transient_with_events`] seeded with [`WarmStart`] templates
-/// from a previous solve on the same scenario family.  With matching
-/// templates the per-solve symbolic setup (ILU(k) analysis, level schedules,
-/// BCSR block-structure merge) is skipped; the numeric results are bitwise
-/// identical to the cold path either way.
-pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
-    problem: &mut P,
-    q: &mut [f64],
-    opts: &PseudoTransientOptions,
-    tel: &Registry,
-    events: &EventSink,
-    warm: &WarmStart,
-) -> SolveHistory {
+    let block_ilu = match opts.precond {
+        PrecondSpec::BlockIlu { block } => Some(block),
+        _ => None,
+    };
+    if let (Some(a), Some(b)) = (opts.bcsr_block, block_ilu) {
+        assert_eq!(
+            a, b,
+            "bcsr_block {a} and the block ILU's block {b} must agree: both factor one BCSR"
+        );
+    }
+    // Block size of the solve's one BCSR, if the operator or the
+    // preconditioner uses it.
+    let bcsr_block = opts.bcsr_block.filter(|_| !opts.matrix_free).or(block_ilu);
     let _solve_span = tel.span("nks");
     let n = problem.n();
     assert_eq!(q.len(), n);
@@ -410,17 +428,13 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
     let mut delta = vec![0.0; n];
     let mut q_trial = vec![0.0; n];
     let mut r_trial = vec![0.0; n];
-    // Blocked operator cache: the symbolic block structure is computed once
-    // and only values are refilled each step.  A matching warm template
-    // provides the structure up front (refill overwrites every value, so the
-    // seeded matrix is indistinguishable from a freshly built one).
-    let mut bcsr_cache: Option<BcsrMatrix> = match (opts.bcsr_block, &warm.bcsr) {
-        (Some(b), Some(t)) if t.block_size() == b && t.nrows() == n => Some((**t).clone()),
-        _ => None,
-    };
-    // Lagged preconditioner (kept across steps when pc_refresh > 1).
+    // Symbolic state of the solve, valid while the Jacobian's nnz equals
+    // `pattern_nnz`: the BCSR (values refilled each step) and the lagged
+    // preconditioner (refactored every `pc_refresh` steps).
+    let mut pattern_nnz: Option<usize> = None;
+    let mut bcsr: Option<BcsrMatrix> = None;
     let mut pc_cache: Option<BuiltPrecond> = None;
-    let mut pc_age = usize::MAX; // force a build on the first step
+    let mut pc_age = 0;
 
     for step in 0..opts.max_steps {
         if rnorm / r0_norm <= opts.target_reduction {
@@ -458,6 +472,17 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         let d = problem.inverse_timestep_scale(q);
         let mut jac = problem.jacobian(q);
         jac.shift_diagonal_by(1.0 / cfl, &d);
+        if pattern_nnz != Some(jac.nnz()) {
+            pattern_nnz = Some(jac.nnz());
+            bcsr = None;
+            pc_cache = None;
+        }
+        if let Some(b) = bcsr_block {
+            match &mut bcsr {
+                Some(m) => m.refill_from_csr(&jac),
+                None => bcsr = Some(BcsrMatrix::from_csr(&jac, b)),
+            }
+        }
         drop(jac_span);
         let t_jacobian = t0.elapsed().as_secs_f64();
 
@@ -466,48 +491,22 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
         // frequency for Jacobian preconditioner" knob).
         let t0 = std::time::Instant::now();
         let pc_span = tel.span("precond");
-        if pc_age >= opts.pc_refresh.max(1) {
-            let (what, built) = match &opts.precond {
-                PrecondSpec::Ilu(ilu) => {
-                    // A matching warm template skips the symbolic ILU(k)
-                    // analysis: clone + refactor runs the same numeric
-                    // elimination as a fresh factorization on the same
-                    // pattern, so the factors are bitwise identical.
-                    let template = warm
-                        .ilu
-                        .as_deref()
-                        .filter(|t| t.is_template_for(jac.nrows(), ilu));
-                    let factors = match template {
-                        Some(t) => {
-                            let mut f = t.clone();
-                            f.refactor(&jac).map(|()| f)
-                        }
-                        None => IluFactors::factor(&jac, ilu),
-                    };
-                    let pc = factors.map(|f| {
-                        BuiltPrecond::Ilu(Box::new(IluPrecond::new(f).with_par(opts.krylov.par)))
-                    });
-                    ("ILU", pc)
-                }
-                PrecondSpec::BlockIlu { block } => (
-                    "block ILU",
-                    BlockIluPrecond::factor(&jac, *block)
-                        .map(|p| BuiltPrecond::BlockIlu(Box::new(p.with_par(opts.krylov.par)))),
-                ),
-                PrecondSpec::Schwarz {
-                    owned_sets,
-                    overlap,
-                    ilu,
-                    restricted,
-                } => (
-                    "Schwarz",
-                    AdditiveSchwarz::new(&jac, owned_sets, *overlap, ilu, *restricted)
-                        .map(BuiltPrecond::Schwarz),
-                ),
-            };
+        if pc_cache.is_none() || pc_age >= opts.pc_refresh.max(1) {
+            let built = BuiltPrecond::refresh(
+                pc_cache.take(),
+                &opts.precond,
+                &jac,
+                bcsr.as_ref(),
+                opts.krylov.par,
+            );
             match built {
                 Ok(pc) => pc_cache = Some(pc),
                 Err(e) => {
+                    let what = match opts.precond {
+                        PrecondSpec::Ilu(_) => "ILU",
+                        PrecondSpec::BlockIlu { .. } => "block ILU",
+                        PrecondSpec::Schwarz { .. } => "Schwarz",
+                    };
                     // A singular pivot ends the solve as a typed anomaly
                     // rather than a panic, so callers (and serve workers)
                     // get a failed history back.
@@ -557,15 +556,9 @@ pub fn solve_pseudo_transient_warm<P: PseudoTransientProblem>(
             let shift: Vec<f64> = d.iter().map(|&v| v / cfl).collect();
             let op = FdJacobianOperator::new(&*problem, q.to_vec(), r.clone(), shift);
             gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
-        } else if let Some(b) = opts.bcsr_block {
-            match &mut bcsr_cache {
-                // A seeded template whose source pattern disagrees (wrong
-                // nnz) is discarded, not trusted.
-                Some(cached) if cached.csr_nnz() == jac.nnz() => cached.refill_from_csr(&jac),
-                _ => bcsr_cache = Some(BcsrMatrix::from_csr(&jac, b)),
-            }
+        } else if opts.bcsr_block.is_some() {
             let op = BcsrOperator {
-                a: bcsr_cache.as_ref().unwrap(),
+                a: bcsr.as_ref().expect("built in the Jacobian phase"),
                 par: krylov.par,
             };
             gmres_with_events(&op, pc, &rhs, &mut delta, &krylov, tel, events, nstep)
@@ -925,116 +918,20 @@ mod tests {
     }
 
     #[test]
-    fn warm_ilu_template_is_bitwise_identical_to_cold() {
-        let run = |warm: &WarmStart| {
+    fn pattern_change_rebuilds_the_symbolic_state() {
+        // Refactoring or refilling on the old pattern would drop the new
+        // entry (point ILU) or panic (BCSR refill); the nnz guard rebuilds.
+        let mut ilu_blocked = default_opts();
+        ilu_blocked.bcsr_block = Some(5);
+        let mut block_ilu = ilu_blocked.clone();
+        block_ilu.precond = PrecondSpec::BlockIlu { block: 5 };
+        for opts in [default_opts(), ilu_blocked, block_ilu] {
             let mut p = Bratu1d::new(30, 1.0);
+            p.grow_pattern_after = Some(2);
             let mut q = vec![0.0; 30];
-            let h = solve_pseudo_transient_warm(
-                &mut p,
-                &mut q,
-                &default_opts(),
-                &Registry::disabled(),
-                &EventSink::disabled(),
-                warm,
-            );
-            (h, q)
-        };
-        let (hc, qc) = run(&WarmStart::none());
-        // The template comes from the *unshifted* initial Jacobian: the
-        // pseudo-timestep shift only changes diagonal values, never the
-        // pattern, so the symbolic structure matches every step matrix.
-        let p = Bratu1d::new(30, 1.0);
-        let jac = p.jacobian(&vec![0.0; 30]);
-        let template = IluFactors::factor(&jac, &IluOptions::with_fill(0)).unwrap();
-        let warm = WarmStart {
-            ilu: Some(Arc::new(template)),
-            bcsr: None,
-        };
-        assert!(!warm.is_empty());
-        let (hw, qw) = run(&warm);
-        assert!(hc.converged && hw.converged);
-        assert_eq!(qc, qw, "warm solution must be bitwise identical");
-        assert_eq!(hc.nsteps(), hw.nsteps());
-        assert_eq!(hc.final_residual, hw.final_residual);
-        for (a, b) in hc.steps.iter().zip(&hw.steps) {
-            assert_eq!(a.residual_norm, b.residual_norm);
-            assert_eq!(a.linear_iters, b.linear_iters);
-            assert_eq!(a.cfl, b.cfl);
-        }
-    }
-
-    #[test]
-    fn warm_bcsr_template_is_bitwise_identical_to_cold() {
-        let mut opts = default_opts();
-        opts.bcsr_block = Some(5);
-        let run = |warm: &WarmStart, opts: &PseudoTransientOptions| {
-            let mut p = Bratu1d::new(30, 1.0);
-            let mut q = vec![0.0; 30];
-            let h = solve_pseudo_transient_warm(
-                &mut p,
-                &mut q,
-                opts,
-                &Registry::disabled(),
-                &EventSink::disabled(),
-                warm,
-            );
-            (h, q)
-        };
-        let (hc, qc) = run(&WarmStart::none(), &opts);
-        let p = Bratu1d::new(30, 1.0);
-        let jac = p.jacobian(&vec![0.0; 30]);
-        let warm = WarmStart {
-            ilu: None,
-            bcsr: Some(Arc::new(BcsrMatrix::from_csr(&jac, 5))),
-        };
-        let (hw, qw) = run(&warm, &opts);
-        assert!(hc.converged && hw.converged);
-        assert_eq!(qc, qw);
-        assert_eq!(hc.final_residual, hw.final_residual);
-    }
-
-    #[test]
-    fn mismatched_warm_templates_are_ignored() {
-        // Wrong fill level, wrong dimension, and a BCSR template with a
-        // foreign pattern: all must fall back to the cold path, not corrupt
-        // or panic.
-        let p = Bratu1d::new(30, 1.0);
-        let jac = p.jacobian(&vec![0.0; 30]);
-        let wrong_fill = IluFactors::factor(&jac, &IluOptions::with_fill(2)).unwrap();
-        let small = Bratu1d::new(20, 1.0);
-        let wrong_dim =
-            IluFactors::factor(&small.jacobian(&[0.0; 20]), &IluOptions::with_fill(0)).unwrap();
-        // Diagonal-only pattern: same n and block size, different nnz.
-        let eye = fun3d_sparse::csr::CsrMatrix::identity(30);
-        let foreign_bcsr = BcsrMatrix::from_csr(&eye, 5);
-        let mut opts = default_opts();
-        opts.bcsr_block = Some(5);
-        for warm in [
-            WarmStart {
-                ilu: Some(Arc::new(wrong_fill)),
-                bcsr: None,
-            },
-            WarmStart {
-                ilu: Some(Arc::new(wrong_dim)),
-                bcsr: Some(Arc::new(foreign_bcsr)),
-            },
-        ] {
-            let mut p = Bratu1d::new(30, 1.0);
-            let mut q = vec![0.0; 30];
-            let h = solve_pseudo_transient_warm(
-                &mut p,
-                &mut q,
-                &opts,
-                &Registry::disabled(),
-                &EventSink::disabled(),
-                &warm,
-            );
-            assert!(h.converged, "reduction {}", h.reduction());
-            let mut p2 = Bratu1d::new(30, 1.0);
-            let mut q2 = vec![0.0; 30];
-            let h2 = solve_pseudo_transient(&mut p2, &mut q2, &opts);
-            assert_eq!(q, q2, "ignored template must leave results untouched");
-            assert_eq!(h.final_residual, h2.final_residual);
+            let h = solve_pseudo_transient(&mut p, &mut q, &opts);
+            assert!(p.jacobians.get() > 3, "{:?}", opts.precond);
+            assert!(h.converged && h.anomaly.is_none(), "{:?}", opts.precond);
         }
     }
 

@@ -175,15 +175,6 @@ impl BcsrMatrix {
         self.b
     }
 
-    /// Nonzero count of the point-CSR matrix this was built from via
-    /// [`BcsrMatrix::from_csr`] (0 for matrices built from raw arrays).
-    /// [`BcsrMatrix::refill_from_csr`] requires a source with exactly this
-    /// many nonzeros; callers reusing a BCSR as a structure template should
-    /// check it before refilling.
-    pub fn csr_nnz(&self) -> usize {
-        self.csr_value_map.len()
-    }
-
     /// Number of block rows.
     pub fn nbrows(&self) -> usize {
         self.nbrows

@@ -512,6 +512,14 @@ mod tests {
                 residual(&a, &x, &rhs) < 1e-9 * norm2(&rhs),
                 "b={b}: block-tridiagonal BILU(0) must solve exactly"
             );
+            // Factoring a BCSR refilled with `a` is bitwise factoring `ab`.
+            let mut refilled = BcsrMatrix::from_csr(&block_tridiag(20, b, 4), b);
+            refilled.refill_from_csr(&a);
+            let mut xr = vec![0.0; n];
+            BlockIluFactors::factor(&refilled)
+                .unwrap()
+                .solve(&rhs, &mut xr);
+            assert_eq!(x, xr, "b={b}: refilled BCSR");
         }
     }
 

@@ -157,7 +157,6 @@ pub(crate) fn level_schedule(n: usize, ptr: &[usize], idx: &[u32], reverse: bool
 #[derive(Debug, Clone)]
 pub struct IluFactors {
     n: usize,
-    fill_level: usize,
     /// Strictly-lower pattern, per row.
     l_ptr: Vec<usize>,
     l_idx: Vec<u32>,
@@ -180,7 +179,6 @@ impl IluFactors {
         let u_levels = level_schedule(n, &u_ptr, &u_idx, true);
         let mut me = Self {
             n,
-            fill_level: opts.fill_level,
             l_ptr,
             l_idx,
             u_ptr,
@@ -295,30 +293,6 @@ impl IluFactors {
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The fill level this factorization was built with.
-    pub fn fill_level(&self) -> usize {
-        self.fill_level
-    }
-
-    /// The precision the factor values are stored in.
-    pub fn storage(&self) -> PrecStorage {
-        match &self.vals {
-            FactorValues::F64 { .. } => PrecStorage::Double,
-            FactorValues::F32 { .. } => PrecStorage::Single,
-        }
-    }
-
-    /// Whether this factorization can serve as a symbolic template for
-    /// factoring matrices with `opts` via clone + [`IluFactors::refactor`]:
-    /// same dimension, fill level, and storage precision.  The caller must
-    /// additionally guarantee the matrix *pattern* matches the one this was
-    /// factored from (e.g. Jacobians of the same mesh family and layout);
-    /// the numeric refactorization is then bitwise identical to a fresh
-    /// [`IluFactors::factor`], with the symbolic analysis skipped.
-    pub fn is_template_for(&self, n: usize, opts: &IluOptions) -> bool {
-        self.n == n && self.fill_level == opts.fill_level && self.storage() == opts.storage
     }
 
     /// Total stored entries (L + U + diagonal).
@@ -784,6 +758,28 @@ mod tests {
                 (u - 2.0 * v).abs() < 1e-12,
                 "scaling A by 2 halves the solution"
             );
+        }
+        // Refactoring on a matrix with the same pattern and new values is
+        // bitwise a fresh factorization of it, at every fill and storage.
+        let mut a3 = a.clone();
+        for (k, v) in a3.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 0.01 * (k % 7) as f64;
+        }
+        for fill_level in 0..=2 {
+            for storage in [PrecStorage::Double, PrecStorage::Single] {
+                let opts = IluOptions {
+                    fill_level,
+                    storage,
+                };
+                let mut f = IluFactors::factor(&a, &opts).unwrap();
+                f.refactor(&a3).unwrap();
+                let fresh = IluFactors::factor(&a3, &opts).unwrap();
+                let mut xr = vec![0.0; n];
+                let mut xf = vec![0.0; n];
+                f.solve(&b, &mut xr);
+                fresh.solve(&b, &mut xf);
+                assert_eq!(xr, xf, "fill {fill_level}, {storage:?}");
+            }
         }
     }
 
